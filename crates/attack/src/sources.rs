@@ -305,11 +305,6 @@ impl ProtocolHopper {
             last_hop: SimTime::ZERO,
         }
     }
-
-    /// The protocol currently in use.
-    pub fn current_protocol(&self) -> Protocol {
-        self.protocols[self.current]
-    }
 }
 
 impl TrafficApp for ProtocolHopper {

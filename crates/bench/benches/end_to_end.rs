@@ -8,18 +8,19 @@
 use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::fig1;
+use aitf_scenario::{Role, TopologySpec};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_cooperative_round(c: &mut Criterion) {
     c.bench_function("end_to_end_fig1_2s", |b| {
         b.iter(|| {
-            let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
-            let target = f.world.host_addr(f.victim);
+            let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(42, AitfConfig::default());
+            let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
+            let target = f.world.host_addr(victim);
             f.world
-                .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+                .add_app(attacker, Box::new(FloodSource::new(target, 1000, 500)));
             f.world.sim.run_for(SimDuration::from_secs(2));
-            black_box(f.world.host(f.victim).counters().rx_attack_pkts)
+            black_box(f.world.host(victim).counters().rx_attack_pkts)
         });
     });
 }
@@ -28,14 +29,15 @@ fn bench_forwarding_throughput(c: &mut Criterion) {
     // Pure data-plane: no attack, just a CBR stream across 6 routers.
     c.bench_function("end_to_end_forwarding_5k_pkts", |b| {
         b.iter(|| {
-            let mut f = fig1(AitfConfig::default(), 42, HostPolicy::Compliant);
-            let target = f.world.host_addr(f.victim);
+            let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(42, AitfConfig::default());
+            let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
+            let target = f.world.host_addr(victim);
             f.world.add_app(
-                f.attacker,
+                attacker,
                 Box::new(aitf_attack::LegitClient::new(target, 5000, 500)),
             );
             f.world.sim.run_for(SimDuration::from_secs(1));
-            black_box(f.world.host(f.victim).counters().rx_legit_pkts)
+            black_box(f.world.host(victim).counters().rx_legit_pkts)
         });
     });
 }

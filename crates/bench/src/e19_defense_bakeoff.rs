@@ -31,8 +31,6 @@ use aitf_engine::{Outcome, Params, ScenarioSpec};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, ProbeSet, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
 
-use crate::harness::{run_spec, Table};
-
 /// Zombie networks around the hub (quick mode halves this).
 const NETS_FULL: usize = 8;
 const NETS_QUICK: usize = 4;
@@ -169,11 +167,6 @@ pub fn spec(quick: bool) -> ScenarioSpec {
             ctx.shards,
         )
     })
-}
-
-/// Runs the bake-off and prints the table.
-pub fn run(quick: bool) -> Table {
-    run_spec(&spec(quick), quick)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (Measurement helpers — leak ratios, binned sampling — live in
 //! `aitf_scenario::probe` now.)
 
-use aitf_engine::{tabulate, RunRecord, Runner, ScenarioSpec};
+use aitf_engine::{tabulate, RunRecord, ScenarioSpec};
 
 /// A printable results table with aligned columns.
 ///
@@ -115,22 +115,12 @@ pub fn table_from_records(title: &str, records: &[RunRecord]) -> Table {
     table
 }
 
-/// Runs a spec through the engine with the default thread count, prints
-/// its table and expectation prose, and returns the table — the shared
-/// body of every experiment's `run(quick)` entry point.
-pub fn run_spec(spec: &ScenarioSpec, quick: bool) -> Table {
-    let records = Runner::default().quick(quick).run(spec);
-    render_sweep(spec, &records)
-}
-
-/// Prints a finished sweep (table + expectation) and returns the table.
-pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) -> Table {
-    let table = table_from_records(&spec.title, records);
-    table.print();
+/// Prints a finished sweep: its table, then its expectation prose.
+pub fn render_sweep(spec: &ScenarioSpec, records: &[RunRecord]) {
+    table_from_records(&spec.title, records).print();
     if !spec.expectation.is_empty() {
         println!("paper expectation: {}\n", spec.expectation);
     }
-    table
 }
 
 /// Formats a float compactly (6 significant-ish digits, no noise) — the

@@ -2,12 +2,12 @@
 //! paper's evaluation (Section IV plus the Figure 1 / Section II-D
 //! scenario and the Section V pushback comparison).
 //!
-//! Each experiment is a library module with a `run(quick)` entry point and
-//! a thin binary wrapper in `src/bin/`. `quick = true` shrinks durations
-//! and sweeps so the whole suite doubles as an integration test; the
-//! binaries run the full-size versions. Every experiment prints
-//! *paper-expected* and *measured* values side by side; EXPERIMENTS.md
-//! records the outcomes.
+//! Each experiment is a library module exposing an engine
+//! [`aitf_engine::ScenarioSpec`] through `spec(quick)`; [`registry`]
+//! collects them and the `all_experiments` driver runs any selection
+//! (`--filter e1 --filter e10`). `quick = true` shrinks durations and
+//! sweeps so the whole suite doubles as an integration test. Every
+//! experiment prints *paper-expected* and *measured* values side by side.
 //!
 //! | experiment | paper source | claim |
 //! |------------|--------------|-------|

@@ -92,8 +92,6 @@ pub struct AitfConfig {
     /// Victims detect a *reappearing* logged flow instantly instead of
     /// waiting `Td` again (footnote 8 of the paper).
     pub fast_redetect: bool,
-    /// Record a human-readable per-node timeline (examples turn this on).
-    pub trace: bool,
     /// Which defense populates every border router's hook chains. The
     /// default is the paper's AITF protocol; `Scenario::defense(..)`
     /// sweeps the axis (pushback baseline, per-prefix rate-limiting,
@@ -122,7 +120,6 @@ impl Default for AitfConfig {
             max_round: 16,
             packet_triggered_reactivation: true,
             fast_redetect: true,
-            trace: false,
             defense: DefensePolicy::Aitf,
         }
     }

@@ -259,7 +259,6 @@ pub struct EndHost {
     token_map: HashMap<u64, HostTimer>,
     next_token: u64,
     counters: HostCounters,
-    timeline: Vec<(SimTime, String)>,
     /// Dynamic-world state: a detached host is off the network — its tail
     /// circuit is blocked by the world layer and this flag silences its
     /// traffic apps (timer chains are dropped, so nothing is even offered
@@ -318,7 +317,6 @@ impl EndHost {
             token_map: HashMap::new(),
             next_token: 0,
             counters: HostCounters::default(),
-            timeline: Vec::new(),
             attached: true,
             attach_epoch: 0,
             rx_tap: None,
@@ -335,11 +333,6 @@ impl EndHost {
         self.rx_tap.as_deref()
     }
 
-    /// Mutable access to the installed tap.
-    pub fn rx_tap_mut(&mut self) -> Option<&mut (dyn RxTap + 'static)> {
-        self.rx_tap.as_deref_mut()
-    }
-
     /// This host's address.
     pub fn addr(&self) -> Addr {
         self.addr
@@ -353,16 +346,6 @@ impl EndHost {
     /// The self-filter table (compliance state).
     pub fn self_filters(&self) -> &FilterTable {
         &self.self_filters
-    }
-
-    /// Live request-log size.
-    pub fn request_log_len(&self) -> usize {
-        self.request_log.len()
-    }
-
-    /// The recorded timeline (empty unless `config.trace`).
-    pub fn timeline(&self) -> &[(SimTime, String)] {
-        &self.timeline
     }
 
     /// Installs a traffic application. Must be called before the simulation
@@ -413,12 +396,6 @@ impl EndHost {
         self.apps.push(Some(app));
         let i = self.apps.len() - 1;
         self.with_api(i, ctx, |app, api| app.on_start(api));
-    }
-
-    fn trace(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
-        if self.cfg.trace {
-            self.timeline.push((now, msg()));
-        }
     }
 
     fn with_api<R>(
@@ -493,7 +470,6 @@ impl EndHost {
 
     fn on_detect(&mut self, flow: FlowLabel, ctx: &mut Context<'_>) {
         ctx.profile_subsystem(aitf_netsim::Subsystem::Detector);
-        let now = ctx.now();
         // Under sampling traceback the attack path may not have converged
         // yet; a request without a path cannot be propagated, so wait.
         // This is exactly the identification latency the sampling ablation
@@ -509,7 +485,6 @@ impl EndHost {
         }
         self.detecting.remove(&flow);
         self.counters.detections += 1;
-        self.trace(now, || format!("detected undesired flow {flow}"));
         self.send_filtering_request(flow, ctx);
     }
 
@@ -536,7 +511,6 @@ impl EndHost {
             }
         }
         self.counters.detections += 1;
-        self.trace(now, || format!("rate detector flagged {flow}"));
         if let Some(d) = &mut self.rate_detector {
             d.forget(src);
         }
@@ -564,7 +538,6 @@ impl EndHost {
         self.counters.requests_sent += 1;
         self.request_log.insert(flow, now + self.cfg.t_long);
         self.last_request.insert(flow, now);
-        self.trace(now, || format!("filtering request #{id} for {flow}"));
         let pkt = Packet::control(
             ctx.next_packet_id(),
             self.addr,
@@ -600,9 +573,6 @@ impl EndHost {
                 } else {
                     self.counters.verification_denied += 1;
                 }
-                self.trace(now, || {
-                    format!("verification query for {}: confirm={confirm}", q.flow)
-                });
                 let reply = VerificationReply {
                     request_id: q.request_id,
                     flow: q.flow,
@@ -624,12 +594,10 @@ impl EndHost {
                         let dur = SimDuration::from_nanos(req.duration_ns);
                         if self.self_filters.install(req.flow, now, dur).is_ok() {
                             self.counters.flows_stopped += 1;
-                            self.trace(now, || format!("stopping flow {} as asked", req.flow));
                         }
                     }
-                    HostPolicy::Malicious => {
-                        self.trace(now, || format!("IGNORING stop notice for {}", req.flow));
-                    }
+                    // A malicious host ignores the stop notice.
+                    HostPolicy::Malicious => {}
                 }
             }
             _ => {}

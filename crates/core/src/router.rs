@@ -202,7 +202,6 @@ pub struct BorderRouter {
     token_map: HashMap<u64, TimerAction>,
     next_id: u64,
     counters: RouterCounters,
-    timeline: Vec<(SimTime, String)>,
     /// Structured span recorder (a zero-sized no-op unless the `trace`
     /// feature is on); shared with every other router in the world so
     /// escalation chains parent across routers.
@@ -267,7 +266,6 @@ impl BorderRouter {
             token_map: HashMap::new(),
             next_id: 0,
             counters: RouterCounters::default(),
-            timeline: Vec::new(),
             tracer: Tracer::new(),
         }
     }
@@ -336,11 +334,6 @@ impl BorderRouter {
             + self.prefix_limiter.as_ref().map_or(0, RateLimiterBank::len)
     }
 
-    /// The recorded timeline (empty unless `config.trace`).
-    pub fn timeline(&self) -> &[(SimTime, String)] {
-        &self.timeline
-    }
-
     /// The current behaviour policy.
     pub fn policy(&self) -> RouterPolicy {
         self.policy
@@ -384,12 +377,6 @@ impl BorderRouter {
             .iter()
             .copied()
             .find(|&a| self.peer_participates(a))
-    }
-
-    fn trace(&mut self, now: SimTime, msg: impl FnOnce() -> String) {
-        if self.cfg.trace {
-            self.timeline.push((now, msg()));
-        }
     }
 
     fn alloc_token(&mut self, action: TimerAction) -> u64 {
@@ -537,9 +524,6 @@ impl BorderRouter {
             request.round,
             hops,
         );
-        self.trace(now, || {
-            format!("pending path resolved for {}", request.flow)
-        });
         self.propagate_as_victim_gateway(request, ctx);
     }
 
@@ -729,12 +713,6 @@ impl BorderRouter {
             req.round,
             req.path.hops().to_vec(),
         );
-        self.trace(now, || {
-            format!(
-                "victim-gw: temp filter for {} (round {})",
-                req.flow, req.round
-            )
-        });
 
         if req.path.is_empty() {
             // No attack-path sample yet: wait for one (the temporary filter
@@ -803,9 +781,6 @@ impl BorderRouter {
                     now.0,
                 );
                 self.tracer.close_round(key, round, now.0);
-                self.trace(now, || {
-                    format!("escalation round {round} for {flow} dropped: no AITF-enabled ancestor")
-                });
                 return;
             };
             self.counters.escalations_sent += 1;
@@ -819,9 +794,6 @@ impl BorderRouter {
                 self.addr.0,
                 now.0,
             );
-            self.trace(now, || {
-                format!("escalate round {round} for {flow} to parent {parent}")
-            });
             let escalated = FilteringRequest {
                 dest: RequestDestination::VictimGateway,
                 ..req
@@ -834,9 +806,6 @@ impl BorderRouter {
         match target {
             Some(target) if target != self.addr => {
                 self.shadow.touch_action(&flow, now);
-                self.trace(now, || {
-                    format!("round {k}: request {flow} -> attacker-side node {target}")
-                });
                 let outgoing = FilteringRequest {
                     dest: RequestDestination::AttackerGateway,
                     ..req
@@ -883,12 +852,6 @@ impl BorderRouter {
                 now.0,
             );
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "escalation for {} dropped: no neighbour to disconnect",
-                    req.flow
-                )
-            });
             return;
         };
         let Some(&link) = self.fwd.lookup(neighbor).copied().as_ref() else {
@@ -902,12 +865,6 @@ impl BorderRouter {
                 now.0,
             );
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "escalation for {} dropped: no route to neighbour {neighbor}",
-                    req.flow
-                )
-            });
             return;
         };
         if Some(link) == self.uplink {
@@ -924,12 +881,6 @@ impl BorderRouter {
                 now.0,
             );
             self.tracer.close_round(key, req.round, now.0);
-            self.trace(now, || {
-                format!(
-                    "round exhausted for {}: keeping local filter (refusing to sever own uplink)",
-                    req.flow
-                )
-            });
             return;
         }
         self.counters.disconnects_peer += 1;
@@ -942,12 +893,6 @@ impl BorderRouter {
             now.0,
         );
         self.tracer.close_round(key, req.round, now.0);
-        self.trace(now, || {
-            format!(
-                "disconnecting peer {} (link {:?}) over {}",
-                neighbor, link, req.flow
-            )
-        });
         ctx.set_incoming_blocked(link, true);
     }
 
@@ -1005,12 +950,8 @@ impl BorderRouter {
     // ------------------------------------------------------------------
 
     fn attacker_gateway_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        let now = ctx.now();
         if !self.policy.cooperating {
             self.counters.requests_ignored += 1;
-            self.trace(now, || {
-                format!("ignoring request for {} (non-cooperating)", req.flow)
-            });
             return;
         }
         if self.cfg.verification {
@@ -1053,9 +994,6 @@ impl BorderRouter {
         );
         let token = self.alloc_token(TimerAction::HandshakeTimeout { nonce: nonce.0 });
         ctx.set_timer(self.cfg.handshake_timeout, token);
-        self.trace(now, || {
-            format!("handshake query to {} nonce {}", victim, nonce)
-        });
         self.send_control(ctx, victim, AitfMessage::VerificationQuery(query));
     }
 
@@ -1075,7 +1013,6 @@ impl BorderRouter {
         self.tracer.end(pending.span, now.0);
         if rep.confirm {
             self.counters.handshakes_confirmed += 1;
-            self.trace(now, || format!("handshake confirmed for {}", rep.flow));
             self.satisfy_attacker_side(pending.request, ctx, false);
         } else {
             self.counters.handshakes_denied += 1;
@@ -1089,7 +1026,6 @@ impl BorderRouter {
                 now.0,
             );
             self.tracer.close_round(key, pending.request.round, now.0);
-            self.trace(now, || format!("handshake DENIED for {}", rep.flow));
         }
     }
 
@@ -1152,7 +1088,6 @@ impl BorderRouter {
                 return;
             }
         }
-        self.trace(now, || format!("attacker-gw: T-filter for {flow}"));
 
         // Who is my misbehaving client for this flow? Round 1: the attacker
         // host itself. Round k: the (k-1)-th node on the path — the client
@@ -1197,14 +1132,10 @@ impl BorderRouter {
     /// responsible. A cooperating router blocks the flow itself and relays
     /// the notice towards the true attacker.
     fn attacker_role(&mut self, req: FilteringRequest, ctx: &mut Context<'_>) {
-        let now = ctx.now();
         if !self.policy.cooperating {
             self.counters.requests_ignored += 1;
             return;
         }
-        self.trace(now, || {
-            format!("attacker-role: blocking {} (or be disconnected)", req.flow)
-        });
         // Block the flow ourselves and relay one step closer to the true
         // attacker, with the same grace-watch policing of our own client.
         self.satisfy_attacker_side(req, ctx, true);
@@ -1236,21 +1167,9 @@ impl BorderRouter {
                     self.addr.0,
                     now.0,
                 );
-                self.trace(now, || {
-                    format!(
-                        "grace expired: disconnecting client link {:?} over {}",
-                        link, watch.flow
-                    )
-                });
                 ctx.set_incoming_blocked(link, true);
             }
         }
-    }
-
-    /// Reconnects a previously disconnected client (operator action in the
-    /// paper's world; exposed for experiments).
-    pub fn reconnect(&mut self, link: LinkId, ctx: &mut Context<'_>) {
-        ctx.set_incoming_blocked(link, false);
     }
 }
 
@@ -1394,12 +1313,6 @@ impl ReadStage<BorderRouter> for pipeline::AitfShadowReact {
         {
             if let Some(entry) = r.shadow.check_reactivation(&packet.header, now) {
                 r.counters.reactivations += 1;
-                r.trace(now, || {
-                    format!(
-                        "reactivation: {} round {} reappeared",
-                        entry.label, entry.round
-                    )
-                });
                 r.on_reactivation(entry, packet, ctx);
                 return Verdict::Drop;
             }

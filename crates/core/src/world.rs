@@ -535,11 +535,6 @@ impl World {
         NetId(self.host_net[host.0])
     }
 
-    /// A host's tail-circuit link.
-    pub fn tail_link(&self, host: HostId) -> LinkId {
-        self.tail_links[host.0]
-    }
-
     /// The world-wide escalation tracer (a no-op handle unless the `trace`
     /// feature is enabled).
     pub fn tracer(&self) -> &aitf_trace::Tracer {
@@ -750,11 +745,6 @@ impl World {
     /// bandwidth numerator).
     pub fn attack_bytes_at(&self, host: HostId) -> u64 {
         self.host(host).counters().rx_attack_bytes
-    }
-
-    /// Legitimate bytes delivered to a host so far.
-    pub fn legit_bytes_at(&self, host: HostId) -> u64 {
-        self.host(host).counters().rx_legit_bytes
     }
 }
 

@@ -11,8 +11,8 @@
 //! slice and RNG — exactly the classic single-threaded loop. Applying a
 //! [`Partition`] (see [`Simulator::apply_shards`]) before the first run
 //! splits the world into K shards, each with its own queue, node slice,
-//! local links, metrics sink and `(seed, shard_id)`-derived RNG. Shards
-//! advance in lockstep through *conservative windows*: every window spans
+//! local links and `(seed, shard_id)`-derived RNG. Shards advance in
+//! lockstep through *conservative windows*: every window spans
 //! `[g, g + L)` where `g` is the global earliest pending event and `L` the
 //! minimum propagation delay over cut links.
 //!
@@ -42,11 +42,9 @@ use aitf_packet::Packet;
 
 use crate::event::{EventKind, EventQueue};
 use crate::link::{Link, LinkDirection, LinkId, LinkParams, LinkStats};
-use crate::metrics::Metrics;
 use crate::node::{Context, Node, NodeId};
 use crate::partition::{partition, Partition, PartitionError, PartitionSpec};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::NextHops;
 
 /// Everything in one shard of the simulator except the node objects
 /// themselves.
@@ -77,7 +75,6 @@ pub struct SimCore {
     /// within this shard.
     staged_seq: u64,
     pub(crate) node_links: Arc<Vec<Vec<LinkId>>>,
-    pub(crate) metrics: Metrics,
     pub(crate) rng: StdRng,
     next_pkt_id: u64,
     /// High bits ORed into fresh packet ids — the shard tag that keeps ids
@@ -189,12 +186,6 @@ impl SimCore {
         &self.links[self.slot(id)]
     }
 
-    /// Mutable link access.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        let slot = self.slot(id);
-        &mut self.links[slot]
-    }
-
     /// Draws a fresh globally unique packet id.
     pub fn next_packet_id(&mut self) -> u64 {
         let id = self.next_pkt_id;
@@ -303,7 +294,6 @@ impl NetworkBuilder {
                     staged_cut: Vec::new(),
                     staged_seq: 0,
                     node_links: Arc::new(node_links),
-                    metrics: Metrics::new(),
                     rng: StdRng::seed_from_u64(self.seed),
                     next_pkt_id: 0,
                     pkt_tag: 0,
@@ -324,7 +314,6 @@ impl NetworkBuilder {
             seed: self.seed,
             time: SimTime::ZERO,
             started: false,
-            merged_metrics: Metrics::new(),
             #[cfg(feature = "trace")]
             merged_profile: aitf_trace::SubsystemProfile::default(),
             run_wall: std::time::Duration::ZERO,
@@ -474,9 +463,6 @@ pub struct Simulator {
     seed: u64,
     time: SimTime,
     started: bool,
-    /// Merged metrics of a sharded run; single-shard mode reads the
-    /// shard's own sink directly.
-    merged_metrics: Metrics,
     #[cfg(feature = "trace")]
     merged_profile: aitf_trace::SubsystemProfile,
     /// Wall-clock time spent inside the event loop — pure telemetry, never
@@ -537,11 +523,6 @@ impl Simulator {
         self.shards[0].nodes.len()
     }
 
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.link_total
-    }
-
     /// Number of shards the event loop runs as (1 = classic single loop).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -588,25 +569,6 @@ impl Simulator {
     /// authoritative copy — the one every operation is replayed against.
     pub fn link(&self, id: LinkId) -> &Link {
         self.link_any(id)
-    }
-
-    /// The metrics sink (merged across shards at run boundaries).
-    pub fn metrics(&self) -> &Metrics {
-        if self.is_sharded() {
-            &self.merged_metrics
-        } else {
-            &self.shards[0].core.metrics
-        }
-    }
-
-    /// Mutable metrics access (for experiment probes between runs).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        if self.is_sharded() {
-            self.drain_shard_state();
-            &mut self.merged_metrics
-        } else {
-            &mut self.shards[0].core.metrics
-        }
     }
 
     /// Number of events dispatched so far — summed over shards, plus the
@@ -680,12 +642,6 @@ impl Simulator {
             }
         }
         assert!(found, "unknown link {link:?}");
-    }
-
-    /// Returns `true` if the direction of `link` is administratively
-    /// blocked (read from the authoritative copy).
-    pub fn is_link_blocked(&self, link: LinkId, dir: LinkDirection) -> bool {
-        self.link_any(link).is_blocked(dir)
     }
 
     /// Runs `f` with the node in slot `id` and a live [`Context`] —
@@ -778,19 +734,6 @@ impl Simulator {
             .and_then(|n| n.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Computes shortest-path next hops between all node pairs, weighting
-    /// each link by `weight` (use `|_| 1` for hop count).
-    pub fn compute_next_hops(&self, weight: impl Fn(LinkId) -> u64) -> NextHops {
-        let links: Vec<(NodeId, NodeId, LinkId, u64)> = (0..self.link_total)
-            .map(|i| {
-                let id = LinkId(i);
-                let (a, b) = self.link_any(id).endpoints();
-                (a, b, id, weight(id))
-            })
-            .collect();
-        NextHops::compute(self.node_count(), &links)
-    }
-
     /// Splits the world into at most `k` shards along the group forest in
     /// `spec`, returning the partition actually applied. Must run before
     /// the first `run_*`/`start` call, while the event queue is empty.
@@ -837,10 +780,7 @@ impl Simulator {
             "apply_shards must run before any events are scheduled"
         );
         let SimCore {
-            links,
-            node_links,
-            metrics,
-            ..
+            links, node_links, ..
         } = single.core;
         let node_total = part.shard_of.len();
         let shard_of = Arc::clone(&part.shard_of);
@@ -858,7 +798,6 @@ impl Simulator {
                         staged_cut: Vec::new(),
                         staged_seq: 0,
                         node_links: Arc::clone(&node_links),
-                        metrics: Metrics::new(),
                         rng: StdRng::seed_from_u64(shard_seed(self.seed, s as u64)),
                         next_pkt_id: 0,
                         pkt_tag: (s as u64) << 48,
@@ -914,7 +853,6 @@ impl Simulator {
                 shards[part.shard_of[i] as usize].nodes[i] = Some(n);
             }
         }
-        self.merged_metrics = metrics;
         self.shards = shards;
         self.shard_of = shard_of;
         self.lookahead = part.lookahead;
@@ -1023,7 +961,8 @@ impl Simulator {
         for s in &mut self.shards {
             s.core.time = t;
         }
-        self.drain_shard_state();
+        #[cfg(feature = "trace")]
+        self.drain_shard_profiles();
     }
 
     /// Runs one window in every shard — on worker threads in default
@@ -1199,20 +1138,16 @@ impl Simulator {
         }
     }
 
-    /// Drains per-shard metrics (and profiles) into the merged sinks, in
+    /// Drains per-shard subsystem profiles into the merged profile, in
     /// shard-id order. No-op when single.
-    fn drain_shard_state(&mut self) {
+    #[cfg(feature = "trace")]
+    fn drain_shard_profiles(&mut self) {
         if !self.is_sharded() {
             return;
         }
         for s in &mut self.shards {
-            let m = std::mem::take(&mut s.core.metrics);
-            self.merged_metrics.absorb(m);
-            #[cfg(feature = "trace")]
-            {
-                self.merged_profile.merge(&s.core.profile);
-                s.core.profile = aitf_trace::SubsystemProfile::default();
-            }
+            self.merged_profile.merge(&s.core.profile);
+            s.core.profile = aitf_trace::SubsystemProfile::default();
         }
     }
 

@@ -849,10 +849,18 @@ mod tests {
         let f = t.build(1, AitfConfig::default());
         assert_eq!(f.world.net_count(), 6);
         assert_eq!(f.world.host_count(), 2);
-        assert_eq!(f.world.net_name(f.net("G_net")), "G_net");
+        for name in ["G_net", "G_isp", "G_wan", "B_net", "B_isp", "B_wan"] {
+            assert_eq!(f.world.net_name(f.net(name)), name);
+        }
         assert!(f.world.uplink(f.net("G_net")).is_some());
         assert!(f.world.uplink(f.net("G_wan")).is_none());
         assert_eq!(f.role_of(f.victim()), Role::Victim);
+        assert_eq!(f.world.host_net(f.victim()), f.net("G_net"));
+        let attacker = f.first_with(Role::Attacker);
+        assert!(f
+            .world
+            .net_prefix(f.net("B_net"))
+            .contains(f.world.host_addr(attacker)));
     }
 
     #[test]
@@ -869,6 +877,25 @@ mod tests {
         // G_1 is the leaf (has an uplink), G_3 the top (peered, no uplink).
         assert!(c.world.uplink(c.net("G_1")).is_some());
         assert!(c.world.uplink(c.net("G_3")).is_none());
+        // Each side is declared top-down; the hosts sit at the leaves.
+        let g = ["G_3", "G_2", "G_1"].map(|n| c.net(n));
+        assert_eq!(c.nets_on(Side::Victim), g);
+        assert_eq!(c.world.host_net(c.victim()), c.net("G_1"));
+        assert_eq!(c.world.host_net(c.first_with(Role::Attacker)), c.net("B_1"));
+    }
+
+    #[test]
+    fn deep_chain_pair_routes_end_to_end() {
+        let mut c =
+            TopologySpec::chain_pair(6, HostPolicy::Compliant).build(1, AitfConfig::default());
+        let (victim, client) = (c.victim(), c.first_with(Role::Attacker));
+        let target = c.world.host_addr(victim);
+        c.world.add_app(
+            client,
+            Box::new(aitf_attack::LegitClient::new(target, 50, 500)),
+        );
+        c.world.sim.run_for(aitf_netsim::SimDuration::from_secs(2));
+        assert!(c.world.host(victim).counters().rx_legit_pkts > 80);
     }
 
     #[test]
@@ -879,6 +906,9 @@ mod tests {
         assert_eq!(s.hosts_with(Role::Attacker).len(), 24);
         assert_eq!(s.world.net_count(), 10);
         assert_eq!(s.world.host_count(), 25);
+        // Zombies are grouped by network, in network order.
+        let zombie = s.hosts_with(Role::Attacker)[0];
+        assert_eq!(s.world.host_net(zombie), s.nets_on(Side::Attacker)[0]);
     }
 
     #[test]

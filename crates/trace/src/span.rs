@@ -10,6 +10,7 @@
 //! bit-deterministic and safe to pin in tests.
 
 use std::collections::HashMap;
+use std::fmt;
 
 /// Handle to a recorded span. [`SpanId::NONE`] when tracing is disabled or
 /// the span was never recorded — ending it is a no-op.
@@ -168,6 +169,26 @@ impl SpanRecord {
     }
 }
 
+/// One line of an escalation timeline:
+/// `t=<start>s  round <r>  <kind> (<cause>)`, plus how long the span
+/// lasted when it covered virtual time.
+impl fmt::Display for SpanRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "t={:.6}s  round {}  {} ({})",
+            self.start_ns as f64 / 1e9,
+            self.round,
+            self.kind.name(),
+            self.cause.name()
+        )?;
+        match self.duration_ns() {
+            0 => Ok(()),
+            d => write!(f, ", {:.3}s", d as f64 / 1e9),
+        }
+    }
+}
+
 /// The span recorder: an append-only list plus the open-round index that
 /// parents children across routers.
 #[derive(Debug, Default)]
@@ -250,11 +271,6 @@ impl SpanStore {
     /// Snapshot of every recorded span, in start order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
-    }
-
-    /// Consumes the store, returning the records.
-    pub fn into_spans(self) -> Vec<SpanRecord> {
-        self.spans
     }
 }
 
@@ -381,6 +397,23 @@ mod tests {
         assert_eq!(
             st.spans()[0].to_json(),
             "{\"id\":0,\"parent\":null,\"kind\":\"round\",\"cause\":\"detection\",\"flow\":7,\"round\":1,\"router\":9,\"start_ns\":5,\"end_ns\":8}"
+        );
+    }
+
+    #[test]
+    fn span_display_is_one_timeline_line() {
+        let mut st = SpanStore::new();
+        let round = st.start(SpanKind::Round, Cause::Detection, 7, 1, 9, 1_500_000_000);
+        let drop = st.start(SpanKind::Drop, Cause::NoAncestor, 7, 1, 9, 2_000_000_000);
+        st.end(drop, 2_000_000_000);
+        st.end(round, 2_250_000_000);
+        let lines: Vec<String> = st.spans().iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            lines,
+            [
+                "t=1.500000s  round 1  round (detection), 0.750s",
+                "t=2.000000s  round 1  drop (no_ancestor)",
+            ]
         );
     }
 }

@@ -5,34 +5,38 @@
 //! time — from "blocked at the attacker's gateway" to the worst case
 //! where `G_gw3` disconnects from `B_gw3` entirely.
 //!
-//! Run with `cargo run --example escalation_walkthrough`.
+//! Run with `cargo run --example escalation_walkthrough`; add
+//! `--features aitf-core/trace` to also print the first escalation spans
+//! the victim's gateway recorded in each run.
 
 use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::fig1;
+use aitf_scenario::{Role, TopologySpec};
 
 fn main() {
     println!("=== escalation walkthrough (Fig. 1, Section II-D) ===");
     for rogues in 0..=3 {
-        let cfg = AitfConfig {
-            trace: true,
-            ..AitfConfig::default()
-        };
-        let mut f = fig1(cfg, 1000 + rogues, HostPolicy::Malicious);
-        let b_side = [f.b_net, f.b_isp, f.b_wan];
-        for &net in b_side.iter().take(rogues as usize) {
+        let mut f =
+            TopologySpec::fig1(HostPolicy::Malicious).build(1000 + rogues, AitfConfig::default());
+        let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
+        let b_side = [
+            ("B_gw1", f.net("B_net")),
+            ("B_gw2", f.net("B_isp")),
+            ("B_gw3", f.net("B_wan")),
+        ];
+        for &(_, net) in b_side.iter().take(rogues as usize) {
             f.world
                 .router_mut(net)
                 .set_policy(RouterPolicy::non_cooperating());
         }
-        let target = f.world.host_addr(f.victim);
+        let target = f.world.host_addr(victim);
         f.world
-            .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+            .add_app(attacker, Box::new(FloodSource::new(target, 1000, 500)));
         f.world.sim.run_for(SimDuration::from_secs(15));
 
         println!("\n--- {rogues} non-cooperating attacker-side gateway(s) ---");
-        for (name, net) in [("B_gw1", f.b_net), ("B_gw2", f.b_isp), ("B_gw3", f.b_wan)] {
+        for (name, net) in b_side {
             let c = f.world.router(net).counters();
             let role = if c.filters_installed > 0 {
                 format!(
@@ -46,19 +50,29 @@ fn main() {
             };
             println!("  {name}: {role}");
         }
-        let g3 = f.world.router(f.g_wan).counters();
+        let g3 = f.world.router(f.net("G_wan")).counters();
         if g3.disconnects_peer > 0 {
             println!("  G_gw3: DISCONNECTED the peering to B_gw3 (worst case)");
         }
-        let v = f.world.host(f.victim).counters();
+        let v = f.world.host(victim).counters();
         println!(
             "  victim: {} attack packets leaked of {} sent",
             v.rx_attack_pkts,
-            f.world.host(f.attacker).counters().tx_pkts
+            f.world.host(attacker).counters().tx_pkts
         );
-        println!("  G_gw1 timeline:");
-        for (t, line) in f.world.router(f.g_net).timeline().iter().take(6) {
-            println!("    {t}  {line}");
+        println!("  G_gw1 escalation spans:");
+        let g_gw1 = f.world.router(f.net("G_net")).addr().raw();
+        let spans: Vec<_> = f
+            .world
+            .trace_spans()
+            .into_iter()
+            .filter(|s| s.router == g_gw1)
+            .collect();
+        if spans.is_empty() {
+            println!("    no escalation spans recorded: rerun with --features aitf-core/trace");
+        }
+        for span in spans.iter().take(6) {
+            println!("    {span}");
         }
     }
     println!(

@@ -6,33 +6,35 @@
 //! kept for the full `T` — recognises the flow on its first returning
 //! packet, reinstalls the filter and escalates past the rogue gateway.
 //!
-//! Run with `cargo run --example onoff_evasion`.
+//! Run with `cargo run --example onoff_evasion`; add
+//! `--features aitf-core/trace` to also print the escalation spans the
+//! victim's gateway recorded.
 
 use aitf_attack::OnOffSource;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
 use aitf_packet::FlowLabel;
-use aitf_scenario::fig1;
+use aitf_scenario::{Role, TopologySpec};
 
 fn main() {
     let cfg = AitfConfig {
         t_long: SimDuration::from_secs(30),
         t_tmp: SimDuration::from_secs(1),
-        trace: true,
         ..AitfConfig::default()
     };
-    let mut f = fig1(cfg, 99, HostPolicy::Malicious);
+    let mut f = TopologySpec::fig1(HostPolicy::Malicious).build(99, cfg);
+    let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
     // The attacker's own gateway plays dumb — otherwise the first round
     // would end the game immediately.
     f.world
-        .router_mut(f.b_net)
+        .router_mut(f.net("B_net"))
         .set_policy(RouterPolicy::non_cooperating());
 
-    let target = f.world.host_addr(f.victim);
+    let target = f.world.host_addr(victim);
     // Bursts of 200 ms separated by 1.5 s of silence: tuned to outlive the
     // 1 s temporary filter.
     f.world.add_app(
-        f.attacker,
+        attacker,
         Box::new(OnOffSource::new(
             target,
             1000,
@@ -44,8 +46,8 @@ fn main() {
     f.world.sim.run_for(SimDuration::from_secs(20));
 
     println!("=== on-off evasion vs the DRAM shadow ===\n");
-    let gw = f.world.router(f.g_net);
-    let flow = FlowLabel::src_dst(f.world.host_addr(f.attacker), target);
+    let gw = f.world.router(f.net("G_net"));
+    let flow = FlowLabel::src_dst(f.world.host_addr(attacker), target);
     println!("victim's gateway (G_gw1):");
     println!(
         "  shadow reactivations (bursts caught): {}",
@@ -60,7 +62,7 @@ fn main() {
         gw.counters().escalations_sent
     );
 
-    let b_gw2 = f.world.router(f.b_isp);
+    let b_gw2 = f.world.router(f.net("B_isp"));
     println!("\nB_isp (the rogue gateway's provider):");
     println!(
         "  long filters installed:                {}",
@@ -71,8 +73,8 @@ fn main() {
         b_gw2.counters().disconnects_client
     );
 
-    let v = f.world.host(f.victim).counters();
-    let a = f.world.host(f.attacker).counters();
+    let v = f.world.host(victim).counters();
+    let a = f.world.host(attacker).counters();
     println!("\nscoreboard:");
     println!("  attacker sent:    {} packets", a.tx_pkts);
     println!("  victim received:  {} packets", v.rx_attack_pkts);
@@ -80,8 +82,18 @@ fn main() {
         "  effective bandwidth of the undesired flow: {:.4}%",
         100.0 * v.rx_attack_bytes as f64 / (a.tx_bytes.max(1)) as f64
     );
-    println!("\ngateway timeline (first 12 entries):");
-    for (t, line) in gw.timeline().iter().take(12) {
-        println!("  {t}  {line}");
+    println!("\ngateway escalation spans (first 12):");
+    let gw = gw.addr().raw();
+    let spans: Vec<_> = f
+        .world
+        .trace_spans()
+        .into_iter()
+        .filter(|s| s.router == gw)
+        .collect();
+    if spans.is_empty() {
+        println!("  no escalation spans recorded: rerun with --features aitf-core/trace");
+    }
+    for span in spans.iter().take(12) {
+        println!("  {span}");
     }
 }

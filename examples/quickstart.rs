@@ -5,35 +5,34 @@
 //! blocks the flood at the network closest to the attacker — all within
 //! a few hundred simulated milliseconds.
 //!
-//! Run with `cargo run --example quickstart`.
+//! Run with `cargo run --example quickstart`; add
+//! `--features aitf-core/trace` to also print the escalation spans the
+//! attacker's gateway recorded.
 
 use aitf_attack::FloodSource;
 use aitf_core::{AitfConfig, HostPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::fig1;
+use aitf_scenario::{Role, TopologySpec};
 
 fn main() {
     // Paper defaults: T = 60 s, Ttmp = 1 s, R1 = 100/s, R2 = 1/s.
-    let cfg = AitfConfig {
-        trace: true,
-        ..AitfConfig::default()
-    };
-    let mut f = fig1(cfg, 42, HostPolicy::Compliant);
+    let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(42, AitfConfig::default());
+    let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
 
     // A 4 Mbit/s UDP flood at the victim.
-    let target = f.world.host_addr(f.victim);
+    let target = f.world.host_addr(victim);
     f.world
-        .add_app(f.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+        .add_app(attacker, Box::new(FloodSource::new(target, 1000, 500)));
 
     f.world.sim.run_for(SimDuration::from_secs(5));
 
     println!("=== AITF quickstart: Figure 1, cooperative world ===\n");
-    let v = f.world.host(f.victim).counters();
-    println!("victim ({}):", f.world.host_addr(f.victim));
+    let v = f.world.host(victim).counters();
+    println!("victim ({}):", f.world.host_addr(victim));
     println!("  attack packets that got through: {}", v.rx_attack_pkts);
     println!("  filtering requests sent:         {}", v.requests_sent);
 
-    let g_gw1 = f.world.router(f.g_net);
+    let g_gw1 = f.world.router(f.net("G_net"));
     println!("\nvictim's gateway (G_gw1, {}):", g_gw1.addr());
     println!(
         "  packets dropped by temp filter:  {}",
@@ -44,7 +43,7 @@ fn main() {
         g_gw1.shadow().stats().inserts
     );
 
-    let b_gw1 = f.world.router(f.b_net);
+    let b_gw1 = f.world.router(f.net("B_net"));
     println!("\nattacker's gateway (B_gw1, {}):", b_gw1.addr());
     println!(
         "  handshakes confirmed:            {}",
@@ -59,15 +58,25 @@ fn main() {
         b_gw1.counters().data_filtered_pkts
     );
 
-    let a = f.world.host(f.attacker).counters();
-    println!("\nattacker ({}):", f.world.host_addr(f.attacker));
+    let a = f.world.host(attacker).counters();
+    println!("\nattacker ({}):", f.world.host_addr(attacker));
     println!("  stop notices received:           {}", a.notices_received);
     println!("  flows stopped (compliant):       {}", a.flows_stopped);
     println!("  sends suppressed by self-filter: {}", a.tx_suppressed);
 
-    println!("\ntimeline of the attacker's gateway:");
-    for (t, line) in b_gw1.timeline() {
-        println!("  {t}  {line}");
+    println!("\nescalation spans at the attacker's gateway:");
+    let b_gw1 = b_gw1.addr().raw();
+    let spans: Vec<_> = f
+        .world
+        .trace_spans()
+        .into_iter()
+        .filter(|s| s.router == b_gw1)
+        .collect();
+    if spans.is_empty() {
+        println!("  no escalation spans recorded: rerun with --features aitf-core/trace");
+    }
+    for span in spans {
+        println!("  {span}");
     }
     println!("\nThe flood was pushed back to the AITF node closest to the attacker.");
 }

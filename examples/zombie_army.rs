@@ -10,11 +10,11 @@ use aitf_attack::army::{arm_floods, offered_bits_per_sec, ZombieArmySpec};
 use aitf_attack::LegitClient;
 use aitf_core::{AitfConfig, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
-use aitf_scenario::star;
+use aitf_scenario::{Role, Side, TopologySpec};
 
 fn run(defended: bool) -> (f64, f64, u64) {
-    let cfg = AitfConfig::default();
-    let mut s = star(cfg, 7, 16, 4, HostPolicy::Malicious, 10_000_000);
+    let mut s = TopologySpec::star(16, 4, HostPolicy::Malicious, 10_000_000)
+        .build(7, AitfConfig::default());
     if !defended {
         // Legacy routers: no AITF anywhere. The world-level hook keeps
         // every router's deployment view in sync with the flip.
@@ -23,17 +23,12 @@ fn run(defended: bool) -> (f64, f64, u64) {
             s.world.set_router_policy(net, RouterPolicy::legacy());
         }
     }
-    // One honest client in the last zombie network (collateral position).
-    let client_net = *s.attacker_nets.last().expect("have nets");
-    // The victim doubles as the web server; the client talks to it.
-    let server = s.world.host_addr(s.victim);
-    let client = {
-        // Reuse a zombie slot? No — hosts are fixed at build; instead use
-        // a dedicated zombie host as the legit client by giving it a
-        // legit app and no flood.
-        s.zombies.pop().expect("at least one zombie")
-    };
-    let _ = client_net;
+    // The victim doubles as the web server. Hosts are fixed at build, so
+    // the last zombie (in the last zombie network: the collateral
+    // position) becomes the honest client — a legit app and no flood.
+    let server = s.world.host_addr(s.victim());
+    let mut zombies = s.hosts_with(Role::Attacker);
+    let client = zombies.pop().expect("at least one zombie");
     s.world
         .add_app(client, Box::new(LegitClient::new(server, 500, 1000)));
     s.world.host_mut(client).set_policy(HostPolicy::Compliant);
@@ -43,22 +38,22 @@ fn run(defended: bool) -> (f64, f64, u64) {
         size: 500,
         stagger: SimDuration::from_millis(50),
     };
-    arm_floods(&mut s.world, &s.zombies.clone(), server, &spec);
-    let offered = offered_bits_per_sec(s.zombies.len(), &spec);
+    arm_floods(&mut s.world, &zombies, server, &spec);
+    let offered = offered_bits_per_sec(zombies.len(), &spec);
 
     s.world.sim.run_for(SimDuration::from_secs(12));
-    let v = s.world.host(s.victim).counters();
+    let v = s.world.host(s.victim()).counters();
     let secs = 12.0;
     let goodput = v.rx_legit_bytes as f64 * 8.0 / secs;
     let attack_bw = v.rx_attack_bytes as f64 * 8.0 / secs;
     let mut disconnected = 0;
-    for &net in &s.attacker_nets {
+    for net in s.nets_on(Side::Attacker) {
         disconnected += s.world.router(net).counters().disconnects_client;
     }
     println!(
         "  offered attack load: {:.1} Mbit/s across {} zombies",
         offered / 1e6,
-        s.zombies.len()
+        zombies.len()
     );
     (goodput, attack_bw, disconnected)
 }

@@ -19,8 +19,8 @@
 //!   `DefensePolicy` axis (AITF, pushback, rate-limiting, path stamps).
 //! - [`attack`] (`aitf-attack`) — attack and legitimate traffic sources.
 //! - [`scenario`] (`aitf-scenario`) — the declarative scenario API:
-//!   topology × workload × probes, plus the canned worlds (Figure 1,
-//!   stars, chains, provider trees).
+//!   topology × workload × probes, with generators for the Figure 1
+//!   world, stars, chains, provider trees and power-law graphs.
 //!
 //! See `examples/quickstart.rs` for a complete end-to-end run and the
 //! `aitf-bench` crate for the experiment suite that regenerates the

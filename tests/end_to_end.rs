@@ -5,7 +5,7 @@ use aitf::attack::army::{arm_floods, ZombieArmySpec};
 use aitf::attack::{FloodSource, LegitClient, OnOffSource};
 use aitf::core::{AitfConfig, HostPolicy, RouterPolicy, TracebackMode};
 use aitf::netsim::SimDuration;
-use aitf::scenario::{chain_pair, fig1, star};
+use aitf::scenario::{Role, Side, TopologySpec};
 
 #[test]
 fn cooperative_world_bounds_the_leak_by_detection_time() {
@@ -13,12 +13,13 @@ fn cooperative_world_bounds_the_leak_by_detection_time() {
     // afterwards nothing.
     let cfg = AitfConfig::default();
     let td = cfg.detection_delay;
-    let mut f = fig1(cfg, 1, HostPolicy::Compliant);
-    let target = f.world.host_addr(f.victim);
+    let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(1, cfg);
+    let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
+    let target = f.world.host_addr(victim);
     f.world
-        .add_app(f.attacker, Box::new(FloodSource::new(target, 2000, 400)));
+        .add_app(attacker, Box::new(FloodSource::new(target, 2000, 400)));
     f.world.sim.run_for(SimDuration::from_secs(8));
-    let v = f.world.host(f.victim).counters();
+    let v = f.world.host(victim).counters();
     // Upper bound: 2000 pps * (Td + 100 ms of propagation slack).
     let bound = 2000.0 * (td.as_secs_f64() + 0.1);
     assert!(
@@ -34,10 +35,11 @@ fn legit_traffic_is_never_collateral_damage() {
     // An attack against the victim must not cut an unrelated legit flow to
     // the same victim.
     let cfg = AitfConfig::default();
-    let mut s = star(cfg, 2, 4, 1, HostPolicy::Malicious, 50_000_000);
-    let target = s.world.host_addr(s.victim);
+    let mut s = TopologySpec::star(4, 1, HostPolicy::Malicious, 50_000_000).build(2, cfg);
+    let target = s.world.host_addr(s.victim());
     // One zombie becomes an honest client instead.
-    let client = s.zombies.pop().expect("zombie");
+    let mut zombies = s.hosts_with(Role::Attacker);
+    let client = zombies.pop().expect("zombie");
     s.world.host_mut(client).set_policy(HostPolicy::Compliant);
     s.world
         .add_app(client, Box::new(LegitClient::new(target, 100, 500)));
@@ -46,9 +48,9 @@ fn legit_traffic_is_never_collateral_damage() {
         size: 500,
         stagger: SimDuration::ZERO,
     };
-    arm_floods(&mut s.world, &s.zombies.clone(), target, &spec);
+    arm_floods(&mut s.world, &zombies, target, &spec);
     s.world.sim.run_for(SimDuration::from_secs(10));
-    let v = s.world.host(s.victim).counters();
+    let v = s.world.host(s.victim()).counters();
     // ~1000 legit packets offered; virtually all must arrive once the
     // attack is quenched (allow the congested start).
     assert!(
@@ -66,13 +68,14 @@ fn sampling_traceback_reaches_the_same_outcome_slower() {
             detection_delay: SimDuration::from_millis(10),
             ..AitfConfig::default()
         };
-        let mut f = fig1(cfg, 3, HostPolicy::Compliant);
-        let target = f.world.host_addr(f.victim);
+        let mut f = TopologySpec::fig1(HostPolicy::Compliant).build(3, cfg);
+        let (victim, attacker) = (f.victim(), f.first_with(Role::Attacker));
+        let target = f.world.host_addr(victim);
         f.world
-            .add_app(f.attacker, Box::new(FloodSource::new(target, 2000, 400)));
+            .add_app(attacker, Box::new(FloodSource::new(target, 2000, 400)));
         f.world.sim.run_for(SimDuration::from_secs(10));
-        let blocked = f.world.router(f.b_net).counters().filters_installed;
-        let leaked = f.world.host(f.victim).counters().rx_attack_pkts;
+        let blocked = f.world.router(f.net("B_net")).counters().filters_installed;
+        let leaked = f.world.host(victim).counters().rx_attack_pkts;
         (blocked, leaked)
     };
     let (rr_blocked, rr_leaked) = mk(TracebackMode::RouteRecord);
@@ -93,21 +96,19 @@ fn sampling_traceback_reaches_the_same_outcome_slower() {
 #[test]
 fn deep_chains_still_converge() {
     for depth in [2usize, 4, 6] {
-        let mut c = chain_pair(
-            AitfConfig::default(),
-            depth as u64,
-            depth,
-            HostPolicy::Malicious,
-        );
-        let target = c.world.host_addr(c.victim);
+        let mut c = TopologySpec::chain_pair(depth, HostPolicy::Malicious)
+            .build(depth as u64, AitfConfig::default());
+        let (victim, attacker) = (c.victim(), c.first_with(Role::Attacker));
+        let target = c.world.host_addr(victim);
         c.world
-            .add_app(c.attacker, Box::new(FloodSource::new(target, 1000, 500)));
+            .add_app(attacker, Box::new(FloodSource::new(target, 1000, 500)));
         c.world.sim.run_for(SimDuration::from_secs(8));
-        let blocked = c.world.router(c.b_chain[0]).counters().filters_installed;
+        let b_leaf = c.nets_on(Side::Attacker).pop().expect("attacker chain");
+        let blocked = c.world.router(b_leaf).counters().filters_installed;
         assert_eq!(blocked, 1, "depth {depth}: attacker's gateway must block");
-        let before = c.world.host(c.victim).counters().rx_attack_pkts;
+        let before = c.world.host(victim).counters().rx_attack_pkts;
         c.world.sim.run_for(SimDuration::from_secs(2));
-        let after = c.world.host(c.victim).counters().rx_attack_pkts;
+        let after = c.world.host(victim).counters().rx_attack_pkts;
         assert_eq!(before, after, "depth {depth}: flood must stay quenched");
     }
 }
@@ -118,13 +119,13 @@ fn onoff_attacker_is_caught_even_with_rogue_gateway() {
         t_long: SimDuration::from_secs(20),
         ..AitfConfig::default()
     };
-    let mut f = fig1(cfg, 5, HostPolicy::Malicious);
+    let mut f = TopologySpec::fig1(HostPolicy::Malicious).build(5, cfg);
     f.world
-        .router_mut(f.b_net)
+        .router_mut(f.net("B_net"))
         .set_policy(RouterPolicy::non_cooperating());
-    let target = f.world.host_addr(f.victim);
+    let target = f.world.host_addr(f.victim());
     f.world.add_app(
-        f.attacker,
+        f.first_with(Role::Attacker),
         Box::new(OnOffSource::new(
             target,
             1000,
@@ -134,11 +135,11 @@ fn onoff_attacker_is_caught_even_with_rogue_gateway() {
         )),
     );
     f.world.sim.run_for(SimDuration::from_secs(20));
-    let gw = f.world.router(f.g_net).counters();
+    let gw = f.world.router(f.net("G_net")).counters();
     assert!(gw.reactivations > 0, "shadow must catch the on-off bursts");
     // The escalation found a cooperating gateway upstream of the rogue.
     assert!(
-        f.world.router(f.b_isp).counters().filters_installed > 0,
+        f.world.router(f.net("B_isp")).counters().filters_installed > 0,
         "B_isp must end up holding the long filter"
     );
 }
@@ -146,23 +147,18 @@ fn onoff_attacker_is_caught_even_with_rogue_gateway() {
 #[test]
 fn full_stack_determinism() {
     let run = |seed: u64| {
-        let mut s = star(
-            AitfConfig::default(),
-            seed,
-            6,
-            2,
-            HostPolicy::Malicious,
-            10_000_000,
-        );
-        let target = s.world.host_addr(s.victim);
+        let mut s = TopologySpec::star(6, 2, HostPolicy::Malicious, 10_000_000)
+            .build(seed, AitfConfig::default());
+        let target = s.world.host_addr(s.victim());
         let spec = ZombieArmySpec {
             pps: 300,
             size: 500,
             stagger: SimDuration::from_millis(100),
         };
-        arm_floods(&mut s.world, &s.zombies.clone(), target, &spec);
+        let zombies = s.hosts_with(Role::Attacker);
+        arm_floods(&mut s.world, &zombies, target, &spec);
         s.world.sim.run_for(SimDuration::from_secs(6));
-        let v = s.world.host(s.victim).counters();
+        let v = s.world.host(s.victim()).counters();
         (
             v.rx_attack_pkts,
             v.rx_attack_bytes,
@@ -184,14 +180,15 @@ fn filter_tables_never_exceed_capacity_anywhere() {
         detection_delay: SimDuration::from_millis(5),
         ..AitfConfig::default()
     };
-    let mut s = star(cfg, 9, 10, 8, HostPolicy::Malicious, 10_000_000);
-    let target = s.world.host_addr(s.victim);
+    let mut s = TopologySpec::star(10, 8, HostPolicy::Malicious, 10_000_000).build(9, cfg);
+    let target = s.world.host_addr(s.victim());
     let spec = ZombieArmySpec {
         pps: 100,
         size: 300,
         stagger: SimDuration::ZERO,
     };
-    arm_floods(&mut s.world, &s.zombies.clone(), target, &spec);
+    let zombies = s.hosts_with(Role::Attacker);
+    arm_floods(&mut s.world, &zombies, target, &spec);
     s.world.sim.run_for(SimDuration::from_secs(8));
     for i in 0..s.world.net_count() {
         let r = s.world.router(aitf::core::NetId(i));

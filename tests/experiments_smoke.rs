@@ -1,26 +1,47 @@
-//! Runs every experiment in quick mode and checks each produced a table —
-//! the experiments' own modules assert the substantive claims; this test
-//! guarantees the published binaries never bit-rot.
+//! Runs experiments from the spec registry in quick mode and checks each
+//! produced records with simulator events — the experiments' own modules
+//! assert the substantive claims; this test guarantees the registered
+//! specs `all_experiments` drives never bit-rot.
+
+use aitf_engine::Runner;
+
+/// Selects `ids` from the quick registry, runs them, and checks every
+/// spec returned records that carry simulator events.
+fn run_quick(ids: &[&str]) {
+    let filters: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+    let specs = aitf_bench::registry(true).select(&filters);
+    let selected: Vec<&str> = specs.iter().map(|s| s.id).collect();
+    assert_eq!(selected, ids, "each id selects exactly its own spec");
+    let grouped = Runner::default().quick(true).run_all(&specs);
+    for (spec, records) in specs.iter().zip(&grouped) {
+        assert!(!records.is_empty(), "{} produced no records", spec.id);
+        assert!(
+            records.iter().all(|r| r.events > 0),
+            "{}: every record must report simulator events",
+            spec.id
+        );
+    }
+}
 
 #[test]
 fn all_experiments_run_quick() {
-    assert!(!aitf_bench::e1_escalation::run(true).is_empty());
-    assert!(!aitf_bench::e3_protection_capacity::run(true).is_empty());
-    assert!(!aitf_bench::e5_attacker_gw_resources::run(true).is_empty());
-    assert!(!aitf_bench::e6_handshake_security::run(true).is_empty());
-    assert!(!aitf_bench::e7_onoff_attacks::run(true).is_empty());
-    assert!(!aitf_bench::e9_ingress_incentive::run(true).is_empty());
-    assert!(!aitf_bench::e12_mixed_workload::run(true).is_empty());
-    assert!(!aitf_bench::e14_td_tr_grid::run(true).is_empty());
-    assert!(!aitf_bench::e15_host_churn::run(true).is_empty());
-    assert!(!aitf_bench::e16_deployment_incentive::run(true).is_empty());
-    assert!(!aitf_bench::e17_provider_churn::run(true).is_empty());
+    run_quick(&[
+        "e1_escalation",
+        "e3_protection_capacity",
+        "e5_attacker_gw_resources",
+        "e6_handshake_security",
+        "e7_onoff_attacks",
+        "e9_ingress_incentive",
+        "e12_mixed_workload",
+        "e14_td_tr_grid",
+        "e15_host_churn",
+        "e16_deployment_incentive",
+        "e17_provider_churn",
+    ]);
 }
 
 #[test]
 fn figures_spec_emits_series_metrics() {
-    use aitf_engine::Runner;
-
     let spec = aitf_bench::figures::spec(true);
     let records = Runner::new(2).quick(true).run(&spec);
     assert_eq!(records.len(), 2, "defended + undefended");
@@ -38,10 +59,13 @@ fn figures_spec_emits_series_metrics() {
 
 #[test]
 fn heavy_experiments_run_quick() {
-    // Split out so the two long sweeps can run in parallel with the rest.
-    assert!(!aitf_bench::e2_effective_bandwidth::run(true).is_empty());
-    assert!(!aitf_bench::e4_victim_gw_resources::run(true).is_empty());
-    assert!(!aitf_bench::e8_vs_pushback::run(true).is_empty());
-    assert!(!aitf_bench::e10_scaling::run(true).is_empty());
-    assert!(!aitf_bench::e13_filter_pressure::run(true).is_empty());
+    // Split out so the long sweeps can run in parallel with the rest.
+    run_quick(&[
+        "e2_effective_bandwidth",
+        "e4_victim_gw_resources",
+        "e8_vs_pushback",
+        "e8b_rogue_hop",
+        "e10_scaling",
+        "e13_filter_pressure",
+    ]);
 }
