@@ -1,6 +1,6 @@
 //! E19 — the defense bake-off: four policies, one world, one seed.
 //!
-//! The hook-pipeline router (`aitf-defense`) makes the defense a
+//! The border router's per-policy hook dispatch makes the defense a
 //! configuration axis, so the paper's qualitative §V comparison becomes a
 //! quantitative N-way table: AITF, hop-by-hop pushback, per-prefix
 //! ingress rate-limiting, and capability-style path stamping all run the
@@ -207,7 +207,7 @@ mod tests {
                 policy.name()
             );
         }
-        let rl = point(DefensePolicy::ingress_ratelimit());
+        let rl = point(DefensePolicy::IngressRateLimit);
         assert_eq!(
             rl.metrics.f64("quell_s"),
             -1.0,
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn aitf_keeps_legit_delivery_where_blunt_defenses_pay() {
         let aitf = point(DefensePolicy::Aitf);
-        let ratelimit = point(DefensePolicy::ingress_ratelimit());
+        let ratelimit = point(DefensePolicy::IngressRateLimit);
         let stamp = point(DefensePolicy::PathStamp);
         assert!(
             aitf.metrics.f64("legit_frac") > 0.9,

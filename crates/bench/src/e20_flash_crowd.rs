@@ -263,7 +263,7 @@ mod tests {
         // exactly: pool sources are pure attack, crowd sources pure
         // legit.
         let o = run_one(
-            DefensePolicy::ingress_ratelimit(),
+            DefensePolicy::IngressRateLimit,
             600,
             60,
             24,

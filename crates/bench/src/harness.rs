@@ -104,7 +104,7 @@ impl Table {
 }
 
 /// Builds a [`Table`] from engine run records: parameter columns first,
-/// then metric columns (the engine's [`tabulate`] projection).
+/// then metric columns (the engine's [`tabulate()`] projection).
 pub fn table_from_records(title: &str, records: &[RunRecord]) -> Table {
     let (headers, rows) = tabulate(records);
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();

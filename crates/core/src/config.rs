@@ -6,11 +6,11 @@
 //! the time an attacker (or attacker's gateway) is given to stop before
 //! disconnection.
 
-use aitf_defense::DefensePolicy;
 use aitf_filter::EvictionPolicy;
 use aitf_netsim::SimDuration;
 
 use crate::detector::DetectionMode;
+use crate::policy::DefensePolicy;
 
 /// Which traceback substrate border routers run (Section II-F).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -92,7 +92,7 @@ pub struct AitfConfig {
     /// Victims detect a *reappearing* logged flow instantly instead of
     /// waiting `Td` again (footnote 8 of the paper).
     pub fast_redetect: bool,
-    /// Which defense populates every border router's hook chains. The
+    /// Which defense every border router's datapath runs. The
     /// default is the paper's AITF protocol; `Scenario::defense(..)`
     /// sweeps the axis (pushback baseline, per-prefix rate-limiting,
     /// path stamping) through identical topologies and seeds.

@@ -19,10 +19,11 @@
 //!
 //! - [`config`] — timers (`T`, `Ttmp`, grace), contracts (`R1`, `R2`),
 //!   per-node policies, traceback mode, defense policy.
+//! - [`policy`] — [`DefensePolicy`], the defense a router's datapath
+//!   runs (AITF or one of the bake-off baselines).
 //! - [`router`] — [`BorderRouter`]: every protocol role in one node,
-//!   organised as Ingress/Escalate/Egress hook chains.
-//! - [`pipeline`] — stage declarations and per-policy chain wiring for
-//!   the router's defense hooks.
+//!   organised as Ingress/Escalate/Egress hooks with one fixed stage
+//!   order per policy.
 //! - [`pushback`] — state for the hop-by-hop pushback baseline policy.
 //! - [`host`] — [`EndHost`]: victim agent, attacker compliance, pluggable
 //!   [`TrafficApp`]s.
@@ -50,20 +51,19 @@
 pub mod config;
 pub mod detector;
 pub mod host;
-pub mod pipeline;
+pub mod policy;
 mod proto_tests;
 pub mod pushback;
 pub mod router;
 pub mod world;
 
 pub use config::{AitfConfig, Contract, HostPolicy, RouterPolicy, TracebackMode};
-// Re-exported so scenario/experiment layers can name the sweep axes
-// without a direct aitf-filter / aitf-defense dependency.
-pub use aitf_defense::DefensePolicy;
+// Re-exported so scenario/experiment layers can name the eviction axis
+// without a direct aitf-filter dependency.
 pub use aitf_filter::EvictionPolicy;
 pub use detector::{DetectionMode, RateDetector};
 pub use host::{EndHost, HostApi, HostCounters, RxTap, TrafficApp};
-pub use pipeline::{PolicyChains, StageId};
+pub use policy::DefensePolicy;
 pub use pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 pub use router::{BorderRouter, RouterCounters, RouterSpec};
 pub use world::{HostId, NetId, RoutingMode, World, WorldBuilder};

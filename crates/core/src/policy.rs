@@ -1,13 +1,13 @@
 //! The defense-policy sweep axis.
 
-/// Which defense populates a border router's hook chains.
+/// Which defense a border router's datapath runs.
 ///
 /// The policy is part of the scenario configuration
 /// (`AitfConfig::defense` / `Scenario::defense(..)`): every router in a
 /// world runs the same policy, and the `e19_defense_bakeoff` experiment
 /// sweeps this axis under identical seeds. The default is the paper's
-/// AITF protocol, pinned bit-identical to the pre-pipeline router by the
-/// equivalence fixture.
+/// AITF protocol. Each variant selects one fixed arm of the router's
+/// Ingress / Egress / Escalate dispatch in [`crate::BorderRouter`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum DefensePolicy {
     /// The paper's protocol: wire-speed flow filters, shadow cache,
@@ -18,15 +18,11 @@ pub enum DefensePolicy {
     /// effective only while every hop cooperates.
     Pushback,
     /// Per-source-prefix token-bucket policing at the ingress (client)
-    /// links of every edge router. Purely local — no escalation, no
-    /// per-flow state — but caps legitimate hosts sharing a prefix with
-    /// attackers to the same contract.
-    IngressRateLimit {
-        /// Packets per second each /16 source prefix may inject.
-        rate_pps: u32,
-        /// Burst allowance in packets.
-        burst: u32,
-    },
+    /// links of every edge router, at 100 pps / burst 100 per /16 source
+    /// prefix. Purely local — no escalation, no per-flow state — but caps
+    /// legitimate hosts sharing a prefix with attackers to the same
+    /// contract.
+    IngressRateLimit,
     /// Capability-style path stamping on the route-record shim: every
     /// router stamps data packets; the victim's gateway revokes an
     /// origin (the attack path's first-hop router) on a filtering
@@ -36,20 +32,11 @@ pub enum DefensePolicy {
 }
 
 impl DefensePolicy {
-    /// The rate-limit variant with its bake-off default contract
-    /// (100 pps / burst 100 per /16 source prefix).
-    pub const fn ingress_ratelimit() -> Self {
-        DefensePolicy::IngressRateLimit {
-            rate_pps: 100,
-            burst: 100,
-        }
-    }
-
     /// The four policies `e19_defense_bakeoff` ranks, in table order.
     pub const BAKEOFF: [DefensePolicy; 4] = [
         DefensePolicy::Aitf,
         DefensePolicy::Pushback,
-        DefensePolicy::ingress_ratelimit(),
+        DefensePolicy::IngressRateLimit,
         DefensePolicy::PathStamp,
     ];
 
@@ -58,18 +45,17 @@ impl DefensePolicy {
         match self {
             DefensePolicy::Aitf => "aitf",
             DefensePolicy::Pushback => "pushback",
-            DefensePolicy::IngressRateLimit { .. } => "ingress_ratelimit",
+            DefensePolicy::IngressRateLimit => "ingress_ratelimit",
             DefensePolicy::PathStamp => "path_stamp",
         }
     }
 
-    /// Parses a [`DefensePolicy::name`] back into the policy; the
-    /// rate-limit variant comes back with its bake-off defaults.
+    /// Parses a [`DefensePolicy::name`] back into the policy.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "aitf" => Some(DefensePolicy::Aitf),
             "pushback" => Some(DefensePolicy::Pushback),
-            "ingress_ratelimit" => Some(DefensePolicy::ingress_ratelimit()),
+            "ingress_ratelimit" => Some(DefensePolicy::IngressRateLimit),
             "path_stamp" => Some(DefensePolicy::PathStamp),
             _ => None,
         }

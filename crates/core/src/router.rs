@@ -17,8 +17,8 @@
 //!   marks) on transit data packets and enforces ingress filtering.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow;
 
-use aitf_defense::{DefensePolicy, ReadStage, Verdict, WriteStage};
 use aitf_filter::{FilterTable, InstallError, RateLimiterBank, ShadowCache};
 use aitf_netsim::{impl_node_any, Context, LinkId, Node, SimTime, Subsystem};
 use aitf_packet::{
@@ -30,7 +30,7 @@ use aitf_trace::{Cause, SpanId, SpanKind, Tracer};
 use rand::Rng;
 
 use crate::config::{AitfConfig, RouterPolicy, TracebackMode};
-use crate::pipeline::{self, PolicyChains, StageId};
+use crate::policy::DefensePolicy;
 use crate::pushback::{PushbackCounters, PushbackState, LINK_LOCAL, MAX_PUSHBACK_DEPTH};
 
 /// Everything a border router counts; read by experiments after a run.
@@ -159,25 +159,28 @@ pub struct RouterSpec {
     pub policy: RouterPolicy,
 }
 
+/// Token rate of the [`DefensePolicy::IngressRateLimit`] policer, in
+/// packets per second per /16 source prefix.
+const PREFIX_POLICE_PPS: f64 = 100.0;
+/// Burst allowance of the [`DefensePolicy::IngressRateLimit`] policer, in
+/// packets.
+const PREFIX_POLICE_BURST: u32 = 100;
+
 /// An AITF border router node.
 ///
-/// Since the hook-pipeline refactor the datapath is organised as three
-/// hook points — **Ingress** (packet entering the forwarding path),
-/// **Egress** (just before route lookup + transmit) and **Escalate**
-/// (control packets addressed to this router) — each running a
-/// DAG-ordered chain of defense stages selected by
-/// [`AitfConfig::defense`]. Stage logic is implemented on this type via
-/// [`aitf_defense::ReadStage`] / [`aitf_defense::WriteStage`] and
-/// dispatched statically through [`StageId`], so swapping the defense
-/// never costs an allocation or a virtual call on the per-packet path.
+/// The datapath is organised as three hook points — **Ingress** (packet
+/// entering the forwarding path), **Egress** (just before route lookup +
+/// transmit) and **Escalate** (control packets addressed to this router).
+/// Each hook is one `match` on [`AitfConfig::defense`] that calls the
+/// policy's stages, plain private methods, in a fixed order — so swapping
+/// the defense never costs an allocation or a virtual call on the
+/// per-packet path.
 pub struct BorderRouter {
     addr: Addr,
     cfg: AitfConfig,
     policy: RouterPolicy,
-    /// Which defense populates the chains (copied from the config).
+    /// Which defense the hooks run (copied from the config).
     defense: DefensePolicy,
-    /// Resolved per-hook stage chains for `defense`.
-    chains: PolicyChains,
     /// Pushback baseline state (arrival-link memory + counters); inert
     /// under every other policy.
     pushback: PushbackState,
@@ -237,11 +240,10 @@ impl BorderRouter {
             shadow: ShadowCache::new(cfg.shadow_capacity),
             limiter,
             defense,
-            chains: PolicyChains::build(defense).expect("static policy chains build"),
             pushback: PushbackState::default(),
             prefix_limiter: match defense {
-                DefensePolicy::IngressRateLimit { rate_pps, burst } => {
-                    Some(RateLimiterBank::new(rate_pps as f64, burst))
+                DefensePolicy::IngressRateLimit => {
+                    Some(RateLimiterBank::new(PREFIX_POLICE_PPS, PREFIX_POLICE_BURST))
                 }
                 _ => None,
             },
@@ -307,15 +309,9 @@ impl BorderRouter {
         &self.limiter
     }
 
-    /// Which defense policy populates this router's hook chains.
+    /// Which defense policy this router's hooks run.
     pub fn defense(&self) -> DefensePolicy {
         self.defense
-    }
-
-    /// The resolved hook chains (read-only; experiments and docs
-    /// introspect the stage order).
-    pub fn chains(&self) -> &PolicyChains {
-        &self.chains
     }
 
     /// Pushback-plane counters (all zero unless the world runs
@@ -406,81 +402,71 @@ impl BorderRouter {
     // Data plane: the Ingress and Egress hooks.
     // ------------------------------------------------------------------
 
-    /// Runs one stage by id — the static-dispatch heart of the pipeline.
-    /// Every arm is a monomorphized trait call on a unit marker type, so
-    /// walking a chain is a `match` per stage: no boxing, no vtables, no
-    /// allocation. Write stages cannot veto; they report `Continue`.
-    fn run_stage(
+    /// The Ingress hook: runs on every packet entering the forwarding
+    /// path; any stage may veto the packet. The hook map, one fixed stage
+    /// order per policy (`>` reads "then"):
+    ///
+    /// ```text
+    /// policy            Ingress                              Egress                         Escalate
+    /// ----------------  -----------------------------------  -----------------------------  --------------------------
+    /// Aitf              ingress_filter > wire_filter         ttl_check > ttl_decrement      aitf_admission >
+    ///                     > shadow_react                       > traceback_stamp              aitf_dispatch
+    /// Pushback          pushback_wire_filter                 ttl_check > ttl_decrement      pushback_control
+    ///                     > pushback_arrival
+    /// IngressRateLimit  prefix_police                        ttl_check > ttl_decrement      ratelimit_control
+    /// PathStamp         path_stamp_check                     ttl_check > ttl_decrement      path_stamp_control
+    ///                                                          > path_stamp_mark
+    /// ```
+    ///
+    /// After the Egress hook, every policy runs the datapath's one fixed
+    /// step: route lookup and transmit.
+    fn ingress_hook(
         &mut self,
-        id: StageId,
-        packet: &mut Packet,
+        packet: &Packet,
         arrival: LinkId,
         ctx: &mut Context<'_>,
-    ) -> Verdict {
-        use pipeline as st;
-        match id {
-            StageId::AitfIngressFilter => {
-                st::AitfIngressFilter::inspect(self, packet, arrival, ctx)
+    ) -> ControlFlow<()> {
+        match self.defense {
+            DefensePolicy::Aitf => {
+                self.ingress_filter(packet, arrival)?;
+                self.wire_filter(packet, ctx)?;
+                self.shadow_react(packet, ctx)
             }
-            StageId::AitfWireFilter => st::AitfWireFilter::inspect(self, packet, arrival, ctx),
-            StageId::AitfShadowReact => st::AitfShadowReact::inspect(self, packet, arrival, ctx),
-            StageId::TtlCheck => st::TtlCheck::inspect(self, packet, arrival, ctx),
-            StageId::TtlDecrement => {
-                st::TtlDecrement::apply(self, packet, arrival, ctx);
-                Verdict::Continue
+            DefensePolicy::Pushback => {
+                self.pushback_wire_filter(packet, arrival, ctx)?;
+                self.pushback_arrival(packet, arrival);
+                ControlFlow::Continue(())
             }
-            StageId::AitfStamp => {
-                st::AitfStamp::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::AitfAdmission => st::AitfAdmission::inspect(self, packet, arrival, ctx),
-            StageId::AitfDispatch => {
-                st::AitfDispatch::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PushbackWireFilter => {
-                st::PushbackWireFilter::inspect(self, packet, arrival, ctx)
-            }
-            StageId::PushbackArrival => st::PushbackArrival::inspect(self, packet, arrival, ctx),
-            StageId::PushbackControl => {
-                st::PushbackControl::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PrefixPolice => st::PrefixPolice::inspect(self, packet, arrival, ctx),
-            StageId::RatelimitControl => st::RatelimitControl::inspect(self, packet, arrival, ctx),
-            StageId::PathStampCheck => st::PathStampCheck::inspect(self, packet, arrival, ctx),
-            StageId::PathStampMark => {
-                st::PathStampMark::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
-            StageId::PathStampControl => {
-                st::PathStampControl::apply(self, packet, arrival, ctx);
-                Verdict::Continue
-            }
+            DefensePolicy::IngressRateLimit => self.prefix_police(packet, arrival, ctx),
+            DefensePolicy::PathStamp => self.path_stamp_check(packet, ctx),
         }
     }
 
-    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
-        // Ingress hook: any stage may veto the packet.
-        for i in 0..self.chains.ingress.len() {
-            let id = self.chains.ingress.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
-                // The defense consumed the packet: attribute this event's
-                // cost to the hook pipeline, not plain forwarding.
-                ctx.profile_subsystem(Subsystem::DefenseHook);
-                return;
-            }
+    /// The Egress hook: TTL accounting for every policy, then the
+    /// policy's stamp (see the hook map on [`Self::ingress_hook`]).
+    fn egress_hook(&mut self, packet: &mut Packet, ctx: &mut Context<'_>) -> ControlFlow<()> {
+        self.ttl_check(packet)?;
+        // ttl_decrement
+        packet.header.ttl -= 1;
+        match self.defense {
+            DefensePolicy::Aitf => self.traceback_stamp(packet, ctx),
+            DefensePolicy::PathStamp => self.path_stamp_mark(packet),
+            DefensePolicy::Pushback | DefensePolicy::IngressRateLimit => {}
         }
-        // Egress hook: TTL accounting, traceback stamping.
-        for i in 0..self.chains.egress.len() {
-            let id = self.chains.egress.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
-                ctx.profile_subsystem(Subsystem::DefenseHook);
-                return;
-            }
+        ControlFlow::Continue(())
+    }
+
+    fn forward_data(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+        if self.ingress_hook(&packet, arrival, ctx).is_break()
+            || self.egress_hook(&mut packet, ctx).is_break()
+        {
+            // The defense consumed the packet: attribute this event's
+            // cost to the defense hooks, not plain forwarding.
+            ctx.profile_subsystem(Subsystem::DefenseHook);
+            return;
         }
         // Terminal action: route lookup + transmit (the datapath's one
-        // fixed step — every policy forwards what its chains let through).
+        // fixed step — every policy forwards what its hooks let through).
         match self.fwd.lookup(packet.header.dst) {
             Some(&link) => {
                 self.counters.data_forwarded += 1;
@@ -531,18 +517,24 @@ impl BorderRouter {
     // Control plane: the Escalate hook.
     // ------------------------------------------------------------------
 
+    /// The Escalate hook: runs on control packets addressed to this
+    /// router (see the hook map on [`Self::ingress_hook`]).
     fn handle_control(&mut self, mut packet: Packet, arrival: LinkId, ctx: &mut Context<'_>) {
         // AITF control handling is escalation work; every other policy's
-        // control plane is part of its defense pipeline.
+        // control plane is part of its defense hooks.
         ctx.profile_subsystem(match self.defense {
             DefensePolicy::Aitf => Subsystem::Escalation,
             _ => Subsystem::DefenseHook,
         });
-        for i in 0..self.chains.escalate.len() {
-            let id = self.chains.escalate.stage(i);
-            if self.run_stage(id, &mut packet, arrival, ctx).is_drop() {
-                return;
+        match self.defense {
+            DefensePolicy::Aitf => {
+                if self.aitf_admission(&packet, arrival, ctx).is_continue() {
+                    self.aitf_dispatch(&mut packet, arrival, ctx);
+                }
             }
+            DefensePolicy::Pushback => self.pushback_control(&packet, ctx),
+            DefensePolicy::IngressRateLimit => self.ratelimit_control(&packet),
+            DefensePolicy::PathStamp => self.path_stamp_control(&packet, ctx),
         }
     }
 
@@ -1246,121 +1238,88 @@ impl Node for BorderRouter {
 }
 
 // ----------------------------------------------------------------------
-// Stage logic. Marker types and chain wiring live in `crate::pipeline`;
-// the bodies live here, next to the router state they operate on. Read
-// stages (`inspect`) may veto a packet; write stages (`apply`) mutate the
-// packet or router state and cannot veto.
+// Stage logic: the bodies the hooks above call, next to the router state
+// they operate on. A stage returning `ControlFlow` may veto the packet
+// with `Break`; the others mutate the packet or router state and cannot
+// veto.
 // ----------------------------------------------------------------------
 
-// --- AITF ingress ------------------------------------------------------
+impl BorderRouter {
+    // --- AITF ingress ------------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::AitfIngressFilter {
     /// Ingress filtering: a client packet must be sourced inside the
     /// client's own prefixes (Section III-A's incentive).
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if r.policy.aitf_enabled && r.policy.ingress_filtering && packet.is_data() {
-            if let Some(prefixes) = r.client_prefixes(arrival) {
+    fn ingress_filter(&mut self, packet: &Packet, arrival: LinkId) -> ControlFlow<()> {
+        if self.policy.aitf_enabled && self.policy.ingress_filtering && packet.is_data() {
+            if let Some(prefixes) = self.client_prefixes(arrival) {
                 if !prefixes.iter().any(|p| p.contains(packet.header.src)) {
-                    r.counters.spoofed_dropped += 1;
-                    return Verdict::Drop;
+                    self.counters.spoofed_dropped += 1;
+                    return ControlFlow::Break(());
                 }
             }
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl ReadStage<BorderRouter> for pipeline::AitfWireFilter {
     /// Wire-speed filter check.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
+    fn wire_filter(&mut self, packet: &Packet, ctx: &mut Context<'_>) -> ControlFlow<()> {
         let now = ctx.now();
-        if r.policy.aitf_enabled && packet.is_data() && r.filters.matches(&packet.header, now) {
-            r.counters.data_filtered_pkts += 1;
-            r.counters.data_filtered_bytes += packet.size_bytes as u64;
+        if self.policy.aitf_enabled && packet.is_data() && self.filters.matches(&packet.header, now)
+        {
+            self.counters.data_filtered_pkts += 1;
+            self.counters.data_filtered_bytes += packet.size_bytes as u64;
             // The blocked packet still carries traceback information a
             // pending request may be waiting for.
-            r.harvest_pending_path(packet, ctx);
-            return Verdict::Drop;
+            self.harvest_pending_path(packet, ctx);
+            return ControlFlow::Break(());
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl ReadStage<BorderRouter> for pipeline::AitfShadowReact {
     /// Shadow reactivation: a recently blocked flow reappeared after its
     /// temporary filter expired — the attacker side never took over.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
+    fn shadow_react(&mut self, packet: &Packet, ctx: &mut Context<'_>) -> ControlFlow<()> {
         let now = ctx.now();
-        if r.policy.aitf_enabled
+        if self.policy.aitf_enabled
             && packet.is_data()
-            && r.cfg.packet_triggered_reactivation
-            && r.policy.cooperating
+            && self.cfg.packet_triggered_reactivation
+            && self.policy.cooperating
         {
-            if let Some(entry) = r.shadow.check_reactivation(&packet.header, now) {
-                r.counters.reactivations += 1;
-                r.on_reactivation(entry, packet, ctx);
-                return Verdict::Drop;
+            if let Some(entry) = self.shadow.check_reactivation(&packet.header, now) {
+                self.counters.reactivations += 1;
+                self.on_reactivation(entry, packet, ctx);
+                return ControlFlow::Break(());
             }
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-// --- Shared egress -----------------------------------------------------
+    // --- Shared egress -----------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::TtlCheck {
     /// TTL-exhaustion veto: a packet whose TTL cannot survive the
     /// decrement is undeliverable.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
+    fn ttl_check(&mut self, packet: &Packet) -> ControlFlow<()> {
         if packet.header.ttl <= 1 {
-            r.counters.undeliverable += 1;
-            return Verdict::Drop;
+            self.counters.undeliverable += 1;
+            return ControlFlow::Break(());
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::TtlDecrement {
-    fn apply(_r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, _ctx: &mut Context<'_>) {
-        packet.header.ttl -= 1;
-    }
-}
-
-impl WriteStage<BorderRouter> for pipeline::AitfStamp {
     /// Traceback stamping (data plane only; control messages are
     /// point-to-point and need no traceback).
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
-        if r.policy.aitf_enabled && packet.is_data() {
-            match r.cfg.traceback {
+    fn traceback_stamp(&mut self, packet: &mut Packet, ctx: &mut Context<'_>) {
+        if self.policy.aitf_enabled && packet.is_data() {
+            match self.cfg.traceback {
                 TracebackMode::RouteRecord => {
                     // A full record degrades traceback but must not break
                     // forwarding.
-                    let _ = packet.route_record.push(r.addr);
+                    let _ = packet.route_record.push(self.addr);
                 }
                 TracebackMode::Sampling { p, .. } => {
                     if ctx.rng().gen_bool(p) {
                         packet.mark = Some(TracebackMark {
-                            router: r.addr,
+                            router: self.addr,
                             distance: 0,
                         });
                     } else if let Some(m) = &mut packet.mark {
@@ -1370,44 +1329,40 @@ impl WriteStage<BorderRouter> for pipeline::AitfStamp {
             }
         }
     }
-}
 
-// --- AITF escalate -----------------------------------------------------
+    // --- AITF escalate -----------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::AitfAdmission {
     /// Request admission: counting, enablement and contract policing
     /// (Section II-B) — every received request lands in exactly one
     /// counter bucket, starting here.
-    fn inspect(
-        r: &mut BorderRouter,
+    fn aitf_admission(
+        &mut self,
         packet: &Packet,
         arrival: LinkId,
         ctx: &mut Context<'_>,
-    ) -> Verdict {
+    ) -> ControlFlow<()> {
         let PayloadKind::Aitf(msg) = &packet.payload else {
             // A data payload addressed to a router is a misdelivery.
-            return Verdict::Drop;
+            return ControlFlow::Break(());
         };
         if matches!(msg, AitfMessage::FilteringRequest(_)) {
-            r.counters.requests_received += 1;
-            if !r.policy.aitf_enabled {
-                r.counters.requests_ignored += 1;
-                return Verdict::Drop;
+            self.counters.requests_received += 1;
+            if !self.policy.aitf_enabled {
+                self.counters.requests_ignored += 1;
+                return ControlFlow::Break(());
             }
             // Contract policing per arrival interface (Section II-B).
-            if !r.limiter.try_acquire(arrival.0 as u64, ctx.now()) {
-                r.counters.requests_policed += 1;
-                return Verdict::Drop;
+            if !self.limiter.try_acquire(arrival.0 as u64, ctx.now()) {
+                self.counters.requests_policed += 1;
+                return ControlFlow::Break(());
             }
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::AitfDispatch {
     /// Role dispatch for admitted control messages: victim's gateway,
     /// attacker's gateway, or the attacker itself.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, arrival: LinkId, ctx: &mut Context<'_>) {
+    fn aitf_dispatch(&mut self, packet: &mut Packet, arrival: LinkId, ctx: &mut Context<'_>) {
         // Take the message out of the packet so the roles can consume the
         // request without cloning its route record.
         let payload =
@@ -1417,210 +1372,178 @@ impl WriteStage<BorderRouter> for pipeline::AitfDispatch {
         };
         match msg {
             AitfMessage::FilteringRequest(req) => match req.dest {
-                RequestDestination::VictimGateway => r.victim_gateway_role(req, arrival, ctx),
-                RequestDestination::AttackerGateway => r.attacker_gateway_role(req, ctx),
-                RequestDestination::Attacker => r.attacker_role(req, ctx),
+                RequestDestination::VictimGateway => self.victim_gateway_role(req, arrival, ctx),
+                RequestDestination::AttackerGateway => self.attacker_gateway_role(req, ctx),
+                RequestDestination::Attacker => self.attacker_role(req, ctx),
             },
-            AitfMessage::VerificationReply(rep) => r.handle_verification_reply(rep, ctx),
+            AitfMessage::VerificationReply(rep) => self.handle_verification_reply(rep, ctx),
             AitfMessage::VerificationQuery(_) | AitfMessage::Pushback(_) => {
                 // Queries are for victims (end hosts) and pushback belongs
                 // to the baseline policy; either here is a misdelivery.
-                r.counters.undeliverable += 1;
+                self.counters.undeliverable += 1;
             }
         }
     }
-}
 
-// --- Pushback ----------------------------------------------------------
+    // --- Pushback ----------------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::PushbackWireFilter {
     /// Aggregate-filter check; a drop still refreshes the arrival record
     /// so a later propagation knows where the aggregate comes from.
-    fn inspect(
-        r: &mut BorderRouter,
+    fn pushback_wire_filter(
+        &mut self,
         packet: &Packet,
         arrival: LinkId,
         ctx: &mut Context<'_>,
-    ) -> Verdict {
+    ) -> ControlFlow<()> {
         let now = ctx.now();
-        if packet.is_data() && r.filters.matches(&packet.header, now) {
-            r.counters.data_filtered_pkts += 1;
-            r.counters.data_filtered_bytes += packet.size_bytes as u64;
-            r.pushback
+        if packet.is_data() && self.filters.matches(&packet.header, now) {
+            self.counters.data_filtered_pkts += 1;
+            self.counters.data_filtered_bytes += packet.size_bytes as u64;
+            self.pushback
                 .note_arrival((packet.header.src, packet.header.dst), arrival);
-            return Verdict::Drop;
+            return ControlFlow::Break(());
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl ReadStage<BorderRouter> for pipeline::PushbackArrival {
     /// Arrival-link learning for packets that survive the filter.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
+    fn pushback_arrival(&mut self, packet: &Packet, arrival: LinkId) {
         if packet.is_data() {
-            r.pushback
+            self.pushback
                 .note_arrival((packet.header.src, packet.header.dst), arrival);
         }
-        Verdict::Continue
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::PushbackControl {
     /// The pushback control plane: hop-by-hop requests from downstream
     /// plus the victim's edge trigger (the same filtering request AITF's
     /// victim's gateway consumes, with pushback semantics instead).
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
+    fn pushback_control(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
         match &packet.payload {
             PayloadKind::Aitf(AitfMessage::Pushback(p)) => {
-                r.pushback.counters.pushback_received += 1;
-                if !r.policy.cooperating {
-                    r.pushback.counters.pushback_ignored += 1;
+                self.pushback.counters.pushback_received += 1;
+                if !self.policy.cooperating {
+                    self.pushback.counters.pushback_ignored += 1;
                     return;
                 }
                 let (flow, id, depth) = (p.flow, p.id, p.depth);
-                r.pushback_block_and_propagate(flow, id, depth, ctx);
+                self.pushback_block_and_propagate(flow, id, depth, ctx);
             }
             PayloadKind::Aitf(AitfMessage::FilteringRequest(req))
                 if req.dest == RequestDestination::VictimGateway =>
             {
-                r.counters.requests_received += 1;
-                if r.policy.cooperating {
+                self.counters.requests_received += 1;
+                if self.policy.cooperating {
                     let (flow, id) = (req.flow, req.id);
-                    r.pushback_block_and_propagate(flow, id, 0, ctx);
+                    self.pushback_block_and_propagate(flow, id, 0, ctx);
                 }
             }
             _ => {}
         }
     }
-}
 
-// --- Ingress rate limiting --------------------------------------------
+    // --- Ingress rate limiting --------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::PrefixPolice {
     /// Per-source-prefix token-bucket policing on client links: purely
     /// local, no escalation — and collateral for legitimate hosts sharing
     /// a /16 with attackers.
-    fn inspect(
-        r: &mut BorderRouter,
+    fn prefix_police(
+        &mut self,
         packet: &Packet,
         arrival: LinkId,
         ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if packet.is_data() && r.client_prefixes(arrival).is_some() {
+    ) -> ControlFlow<()> {
+        if packet.is_data() && self.client_prefixes(arrival).is_some() {
             let key = (packet.header.src.0 >> 16) as u64;
             let now = ctx.now();
-            let limiter = r
+            let limiter = self
                 .prefix_limiter
                 .as_mut()
                 .expect("prefix limiter exists under IngressRateLimit");
             if !limiter.try_acquire(key, now) {
-                r.counters.data_filtered_pkts += 1;
-                r.counters.data_filtered_bytes += packet.size_bytes as u64;
-                return Verdict::Drop;
+                self.counters.data_filtered_pkts += 1;
+                self.counters.data_filtered_bytes += packet.size_bytes as u64;
+                return ControlFlow::Break(());
             }
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl ReadStage<BorderRouter> for pipeline::RatelimitControl {
     /// Control sink: the policy has no escalation plane, so filtering
     /// requests are counted (for the bake-off's request accounting) and
     /// dropped.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        _ctx: &mut Context<'_>,
-    ) -> Verdict {
+    fn ratelimit_control(&mut self, packet: &Packet) {
         if let PayloadKind::Aitf(AitfMessage::FilteringRequest(_)) = &packet.payload {
-            r.counters.requests_received += 1;
-            r.counters.requests_ignored += 1;
+            self.counters.requests_received += 1;
+            self.counters.requests_ignored += 1;
         }
-        Verdict::Drop
     }
-}
 
-// --- Path stamping -----------------------------------------------------
+    // --- Path stamping -----------------------------------------------------
 
-impl ReadStage<BorderRouter> for pipeline::PathStampCheck {
     /// Drops stamped traffic whose first-hop router (the "capability"
     /// origin) has been revoked by a victim — coarse and collateral-heavy,
     /// which is exactly what the bake-off measures.
-    fn inspect(
-        r: &mut BorderRouter,
-        packet: &Packet,
-        _arrival: LinkId,
-        ctx: &mut Context<'_>,
-    ) -> Verdict {
-        if packet.is_data() && !r.stamp_blocks.is_empty() {
+    fn path_stamp_check(&mut self, packet: &Packet, ctx: &mut Context<'_>) -> ControlFlow<()> {
+        if packet.is_data() && !self.stamp_blocks.is_empty() {
             if let Some(&origin) = packet.route_record.hops().first() {
                 let now = ctx.now();
-                if r.stamp_blocks
+                if self
+                    .stamp_blocks
                     .iter()
                     .any(|&(o, exp)| o == origin && exp > now)
                 {
-                    r.counters.data_filtered_pkts += 1;
-                    r.counters.data_filtered_bytes += packet.size_bytes as u64;
-                    return Verdict::Drop;
+                    self.counters.data_filtered_pkts += 1;
+                    self.counters.data_filtered_bytes += packet.size_bytes as u64;
+                    return ControlFlow::Break(());
                 }
             }
         }
-        Verdict::Continue
+        ControlFlow::Continue(())
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::PathStampMark {
     /// Every router stamps data packets unconditionally — the route
     /// record is the capability the victim side revokes against.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, _ctx: &mut Context<'_>) {
+    fn path_stamp_mark(&mut self, packet: &mut Packet) {
         if packet.is_data() {
-            let _ = packet.route_record.push(r.addr);
+            let _ = packet.route_record.push(self.addr);
         }
     }
-}
 
-impl WriteStage<BorderRouter> for pipeline::PathStampControl {
     /// Origin revocation: a victim's filtering request names an attack
     /// path; its first hop (the attacker's edge router) is revoked for
     /// `T`, blocking *all* stamped traffic from that origin.
-    fn apply(r: &mut BorderRouter, packet: &mut Packet, _arrival: LinkId, ctx: &mut Context<'_>) {
+    fn path_stamp_control(&mut self, packet: &Packet, ctx: &mut Context<'_>) {
         let PayloadKind::Aitf(AitfMessage::FilteringRequest(req)) = &packet.payload else {
             return;
         };
         if req.dest != RequestDestination::VictimGateway {
             return;
         }
-        r.counters.requests_received += 1;
-        if !r.policy.cooperating {
-            r.counters.requests_ignored += 1;
+        self.counters.requests_received += 1;
+        if !self.policy.cooperating {
+            self.counters.requests_ignored += 1;
             return;
         }
         let Some(&origin) = req.path.hops().first() else {
             // No stamped path sample (e.g. the flood never reached the
             // victim): nothing to revoke against.
-            r.counters.requests_invalid += 1;
+            self.counters.requests_invalid += 1;
             return;
         };
         let now = ctx.now();
-        if let Some(entry) = r.stamp_blocks.iter_mut().find(|(o, _)| *o == origin) {
-            entry.1 = now + r.cfg.t_long;
-            r.counters.requests_refreshed += 1;
+        if let Some(entry) = self.stamp_blocks.iter_mut().find(|(o, _)| *o == origin) {
+            entry.1 = now + self.cfg.t_long;
+            self.counters.requests_refreshed += 1;
             return;
         }
         // Reclaim expired revocations before refusing for capacity.
-        r.stamp_blocks.retain(|&(_, exp)| exp > now);
-        if r.stamp_blocks.len() >= r.cfg.filter_capacity {
-            r.counters.requests_unsatisfiable += 1;
+        self.stamp_blocks.retain(|&(_, exp)| exp > now);
+        if self.stamp_blocks.len() >= self.cfg.filter_capacity {
+            self.counters.requests_unsatisfiable += 1;
             return;
         }
-        r.stamp_blocks.push((origin, now + r.cfg.t_long));
-        r.counters.requests_accepted += 1;
-        r.counters.filters_installed += 1;
+        self.stamp_blocks.push((origin, now + self.cfg.t_long));
+        self.counters.requests_accepted += 1;
+        self.counters.filters_installed += 1;
     }
 }

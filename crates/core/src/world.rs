@@ -565,7 +565,7 @@ impl World {
     /// uplink, and keeping that uplink intra-shard keeps the blocking
     /// action local. Non-escalating defense policies (pushback, rate
     /// limiting, path stamping — see
-    /// [`aitf_defense::DefensePolicy::escalates`]) have no disconnection
+    /// [`crate::DefensePolicy::escalates`]) have no disconnection
     /// lever, so every network keeps its own group there.
     pub fn shard_hints(&self) -> PartitionSpec {
         let n = self.net_count();

@@ -1,5 +1,5 @@
 //! The hop-by-hop pushback policy ([MBF+01], §V of the paper), exercised
-//! end to end through [`DefensePolicy::Pushback`]'s hook chains — the
+//! end to end through [`DefensePolicy::Pushback`]'s router hooks — the
 //! ported behavioral suite of the former `aitf-baseline` crate.
 
 use aitf_core::{AitfConfig, DefensePolicy, HostId, HostPolicy, NetId, World, WorldBuilder};
@@ -168,13 +168,7 @@ fn pushback_world_builds_and_runs() {
     let mut w = b.build();
     w.sim.run_for(SimDuration::from_secs(1));
     assert_eq!(w.host(host).counters().rx_attack_pkts, 0);
-    // The router slots hold BorderRouters whose chains run the pushback
+    // The router slots hold BorderRouters whose hooks run the pushback
     // stages, not the AITF ones.
     assert_eq!(w.router(wan).defense(), DefensePolicy::Pushback);
-    assert!(w
-        .router(wan)
-        .chains()
-        .ingress
-        .names()
-        .any(|n| n == "pushback_wire_filter"));
 }

@@ -204,7 +204,7 @@ impl EventQueue {
     /// In a sharded simulation every queue stays purely local: shard code
     /// only schedules for nodes it owns (cut links — the only cross-shard
     /// paths — are coordinator-owned and replayed at window barriers), an
-    /// invariant [`EventQueue::bind_shard`] enforces for `Deliver`s.
+    /// invariant `EventQueue::bind_shard` enforces for `Deliver`s.
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let ptime = self.now;
         let chain = self.chain.unwrap_or(time.0);

@@ -7,13 +7,18 @@
 //! or temp-filter expiry afterwards), the handshake and filter spans
 //! parent under their round even though they happen on *different
 //! routers*, and the chain terminates in a disconnect.
+//!
+//! Also pins the per-subsystem profile attribution of every defense
+//! policy's datapath on one small flooded star: which bucket each event
+//! is charged to is part of the profile's meaning, so it must not drift
+//! when the datapath is restructured.
 
 #![cfg(feature = "trace")]
 
-use aitf_core::{HostPolicy, RouterPolicy};
+use aitf_core::{DefensePolicy, HostPolicy, RouterPolicy};
 use aitf_netsim::SimDuration;
 use aitf_scenario::{HostSel, Role, Scenario, TargetSel, TopologySpec, TrafficSpec};
-use aitf_trace::{Cause, SpanKind, SpanRecord};
+use aitf_trace::{Cause, SpanKind, SpanRecord, Subsystem};
 
 fn fig1_spans() -> Vec<SpanRecord> {
     // The attacker's own gateway shirks, so round 1's request is ignored,
@@ -117,4 +122,71 @@ fn one_full_escalation_pins_its_parent_and_cause_chain() {
     // Determinism: span records are virtual-time data, so a second run of
     // the same seed reproduces the tree exactly.
     assert_eq!(spans, fig1_spans());
+}
+
+/// Per-subsystem event counts of a 4-spoke flooded star (one zombie and
+/// one legitimate client per spoke) run for 3 s under `policy`, in
+/// [`Subsystem::ALL`] order.
+fn star_profile_events(policy: DefensePolicy) -> Vec<(&'static str, u64)> {
+    let mut topo = TopologySpec::star(4, 2, HostPolicy::Malicious, 10_000_000);
+    let zombies: Vec<usize> = (0..topo.hosts.len())
+        .filter(|&i| topo.hosts[i].role == Role::Attacker)
+        .collect();
+    for pair in zombies.chunks(2) {
+        let &i = pair.last().expect("two hosts per spoke");
+        topo.hosts[i].policy = HostPolicy::Compliant;
+        topo.hosts[i].role = Role::Legit;
+    }
+    let outcome = Scenario::new(topo)
+        .defense(policy)
+        .duration(SimDuration::from_secs(3))
+        .traffic(TrafficSpec::legit(
+            HostSel::Role(Role::Legit),
+            TargetSel::Victim,
+            100,
+            1000,
+        ))
+        .traffic(TrafficSpec::flood(
+            HostSel::Role(Role::Attacker),
+            TargetSel::Victim,
+            1000,
+            500,
+        ))
+        .run(7);
+    let profile = outcome
+        .trace
+        .expect("trace feature is on; every outcome carries a report")
+        .subsystems;
+    profile
+        .rows()
+        .into_iter()
+        .map(|(s, b)| (s.name(), b.events))
+        .collect()
+}
+
+#[test]
+fn every_defense_policy_charges_its_events_to_the_same_subsystems() {
+    let got: Vec<_> = DefensePolicy::BAKEOFF
+        .iter()
+        .map(|&p| (p.name(), star_profile_events(p)))
+        .collect();
+    // Columns: netsim_queue, link, host_app, router_datapath,
+    // defense_hook, escalation, detector. Only AITF charges control work
+    // to `escalation`; every other policy's control plane is part of its
+    // defense hook.
+    let expected: [(&str, [u64; 7]); 4] = [
+        ("aitf", [33012, 9904, 14733, 5858, 2485, 28, 4]),
+        ("pushback", [49706, 18265, 14737, 5154, 11546, 0, 4]),
+        (
+            "ingress_ratelimit",
+            [49012, 17918, 14710, 4776, 11604, 0, 4],
+        ),
+        ("path_stamp", [92894, 39897, 13593, 26798, 12602, 0, 4]),
+    ];
+    for ((name, rows), (want_name, want)) in got.iter().zip(expected) {
+        assert_eq!(*name, want_name);
+        let names: Vec<_> = Subsystem::ALL.iter().map(|s| s.name()).collect();
+        let want: Vec<_> = names.into_iter().zip(want).collect();
+        assert_eq!(rows, &want, "{name}: per-subsystem event counts drifted");
+    }
 }

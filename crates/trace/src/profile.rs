@@ -23,7 +23,7 @@ pub enum Subsystem {
     Escalation,
     /// Attack-detection work at end hosts (Td timers, rate estimators).
     Detector,
-    /// Defense hook pipeline: events consumed by a router's defense
+    /// Defense hooks: events consumed by a router's defense
     /// stages — packets vetoed at the Ingress/Egress hooks, and the
     /// control planes of non-AITF policies (pushback, rate limiting,
     /// path stamping).

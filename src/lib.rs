@@ -6,7 +6,8 @@
 //! on one name:
 //!
 //! - [`core`] (`aitf-core`) — the AITF protocol: border routers, end
-//!   hosts, contracts, the 3-way handshake and escalation.
+//!   hosts, contracts, the 3-way handshake and escalation, plus the
+//!   `DefensePolicy` axis (AITF, pushback, rate-limiting, path stamps).
 //! - [`netsim`] (`aitf-netsim`) — the deterministic discrete-event network
 //!   simulator the protocol runs on.
 //! - [`packet`] (`aitf-packet`) — addresses, flow labels, messages and the
@@ -15,8 +16,6 @@
 //!   cache and contract rate limiters.
 //! - [`traceback`] (`aitf-traceback`) — route-record and sampling
 //!   traceback providers.
-//! - [`defense`] (`aitf-defense`) — the hook-chain pipeline and the
-//!   `DefensePolicy` axis (AITF, pushback, rate-limiting, path stamps).
 //! - [`attack`] (`aitf-attack`) — attack and legitimate traffic sources.
 //! - [`scenario`] (`aitf-scenario`) — the declarative scenario API:
 //!   topology × workload × probes, with generators for the Figure 1
@@ -28,7 +27,6 @@
 
 pub use aitf_attack as attack;
 pub use aitf_core as core;
-pub use aitf_defense as defense;
 pub use aitf_filter as filter;
 pub use aitf_netsim as netsim;
 pub use aitf_packet as packet;

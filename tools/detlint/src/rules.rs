@@ -20,6 +20,9 @@
 //!   naming an unknown rule.
 //! - `stale-allow` — a well-formed allow that no longer suppresses any
 //!   finding; the annotation set must stay honest.
+//! - `stale-hot` — a `[hot]` manifest entry naming a function that no
+//!   longer exists in its file; a renamed or deleted hot function must
+//!   not silently drop out of the `hot-alloc` pin.
 //!
 //! Suppression: `// detlint::allow(rule[, rule]): reason` suppresses
 //! matching findings on its own line (trailing comment) or the next line
@@ -37,6 +40,7 @@ pub enum Rule {
     HotAlloc,
     BadAllow,
     StaleAllow,
+    StaleHot,
 }
 
 impl Rule {
@@ -49,6 +53,7 @@ impl Rule {
             Rule::HotAlloc => "hot-alloc",
             Rule::BadAllow => "bad-allow",
             Rule::StaleAllow => "stale-allow",
+            Rule::StaleHot => "stale-hot",
         }
     }
 
@@ -106,7 +111,7 @@ pub fn check_file(path: &str, src: &str, manifest: &Manifest) -> Vec<Finding> {
     let sim = manifest.is_sim_path(path);
     let wall_exempt = manifest.is_wall_clock_exempt(path);
     let hot_fns = manifest.hot_fns(path);
-    let hot_spans = if hot_fns.is_empty() {
+    let hot_spans: Vec<_> = if hot_fns.is_empty() {
         Vec::new()
     } else {
         fn_spans(&toks)
@@ -114,6 +119,19 @@ pub fn check_file(path: &str, src: &str, manifest: &Manifest) -> Vec<Finding> {
             .filter(|(name, _, _)| hot_fns.iter().any(|f| f == name))
             .collect()
     };
+    for f in hot_fns {
+        if !hot_spans.iter().any(|(name, _, _)| name == f) {
+            findings.push(Finding {
+                file: path.to_string(),
+                line: 1,
+                col: 1,
+                rule: Rule::StaleHot,
+                message: format!(
+                    "[hot] pins `{f}`, but this file defines no `fn {f}`; update the manifest"
+                ),
+            });
+        }
+    }
     let hash_names = if sim { hash_names(&toks) } else { Vec::new() };
 
     let mut raw = Vec::new();

@@ -145,6 +145,17 @@ fn stale_allow_is_itself_a_finding() {
 }
 
 #[test]
+fn hot_entry_naming_a_missing_fn_is_a_finding() {
+    let f = "tests/fixtures/stale_hot.rs";
+    let (code, json) = run(f);
+    assert_eq!(code, 1);
+    assert_finding(&json, f, 1, 1, "stale-hot");
+    assert!(json.contains("renamed_fn"), "{json}");
+    assert!(!json.contains("`hot_fn`"), "hot_fn exists: {json}");
+    assert_eq!(count_findings(&json), 1, "{json}");
+}
+
+#[test]
 fn bad_allow_missing_reason_and_unknown_rule_suppress_nothing() {
     let f = "tests/fixtures/bad_allow.rs";
     let (code, json) = run(f);
@@ -163,7 +174,7 @@ fn whole_corpus_totals_are_stable() {
         .expect("spawn detlint");
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8(out.stdout).expect("utf8 stdout");
-    assert_eq!(count_findings(&json), 21, "{json}");
+    assert_eq!(count_findings(&json), 22, "{json}");
 }
 
 #[test]
